@@ -3,8 +3,12 @@
 Subcommands: ns-amplitude, transform, sweep-delay, sweep-phase, hom.
 Angles on the command line are radians; delays and coherence times are
 femtoseconds.  Values may come from a JSON config object (--config) and any
-flag overrides the matching config key.  Exit codes: 0 success, 2 for
-configuration or validation problems, 1 for internal errors.
+flag overrides the matching config key.  `_KEYS` describes every config key
+once (flag, kind, range, default, help) and `_EXPERIMENTS` lists the keys
+each subcommand accepts; the parser, the flag merge and the validator are
+all read from these two tables, so a subcommand offers only its own flags.
+Exit codes: 0 success, 2 for configuration or validation problems, 1 for
+internal errors.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,33 +43,55 @@ from .experiments import (
     sweep_phase,
 )
 
-_EXPERIMENTS = ("ns-amplitude", "transform", "sweep-delay", "sweep-phase", "hom")
 
-_ALLOWED_KEYS = {
-    "ns-amplitude": {"n", "m", "r", "r_v", "r_h"},
-    "transform": {"n", "m", "r", "r_v", "r_h"},
-    "sweep-delay": {"theta", "points", "range_fs", "tau_coh_fs", "r_v", "r_h", "background", "out_path"},
-    "sweep-phase": {"points", "eta", "r_v", "r_h", "background", "out_path"},
-    "hom": {"eta", "points", "range_fs", "tau_coh_fs", "r_v", "r_h", "background", "out_path"},
+class _Key(NamedTuple):
+    flag: str  # a "range" key takes one flag per end: "--from/--to"
+    kind: str  # "int", "float", "range" or "path"
+    minimum: float | None
+    maximum: float | None
+    default: object
+    help: str
+
+
+_KEYS = {
+    "n": _Key("--n", "int", 0, None, None, "H-polarized photon count"),
+    "m": _Key("--m", "int", 0, None, 0, "V-polarized photon count (default 0)"),
+    "r": _Key("--r", "float", 0.0, 1.0, None, "splitter reflectivity for both polarizations"),
+    "r_v": _Key("--r-v", "float", 0.0, 1.0, 0.5, "splitter reflectivity, V polarization"),
+    "r_h": _Key("--r-h", "float", 0.0, 1.0, 0.5, "splitter reflectivity, H polarization"),
+    "theta": _Key("--theta", "float", None, None, None, "pair phase in radians"),
+    "points": _Key("--points", "int", 1, None, 61, "number of sweep points"),
+    "eta": _Key("--eta", "float", 0.0, 1.0, 1.0, "ancilla overlap at zero delay, in [0, 1]"),
+    "tau_coh_fs": _Key("--tau-coh", "float", 1e-12, None, 100.0, "coherence time in fs"),
+    "range_fs": _Key("--from/--to", "range", None, None, (-300.0, 300.0), "delay window in fs"),
+    "background": _Key("--background", "float", 0.0, None, 0.0, "additive fourfold accidental floor"),
+    "out_path": _Key("--out", "path", None, None, None, "CSV output path"),
 }
 
-_REQUIRED_KEYS = {
-    "ns-amplitude": ("n",),
-    "transform": ("n",),
-    "sweep-delay": ("theta",),
-    "sweep-phase": ("points",),
-    "hom": (),
-}
+_PARSE = {"int": int, "float": float, "range": float, "path": str}
 
-_DEFAULTS = {
-    "points": 61,
-    "eta": 1.0,
-    "tau_coh_fs": 100.0,
-    "range_fs": [-300.0, 300.0],
-    "background": 0.0,
-    "r_v": 0.5,
-    "r_h": 0.5,
-    "m": 0,
+
+class _Experiment(NamedTuple):
+    help: str
+    keys: tuple[str, ...]
+    required: tuple[str, ...]
+
+
+_AMPLITUDE_KEYS = ("n", "m", "r", "r_v", "r_h")
+_DELAY_KEYS = ("range_fs", "points", "tau_coh_fs", "r_v", "r_h", "background", "out_path")
+
+_EXPERIMENTS = {
+    "ns-amplitude": _Experiment("closed-form heralded amplitude", _AMPLITUDE_KEYS, ("n",)),
+    "transform": _Experiment("same amplitude via the full pipeline", _AMPLITUDE_KEYS, ("n",)),
+    "sweep-delay": _Experiment(
+        "fourfold probability vs ancilla delay", ("theta", *_DELAY_KEYS), ("theta",)
+    ),
+    "sweep-phase": _Experiment(
+        "two- and fourfold fringes vs phase",
+        ("points", "eta", "r_v", "r_h", "background", "out_path"),
+        ("points",),
+    ),
+    "hom": _Experiment("coincidence-suppression dip vs delay", ("eta", *_DELAY_KEYS), ()),
 }
 
 
@@ -87,10 +113,10 @@ def _fail(key: str, message: str) -> ConfigValidationError:
 def _validate_number(key: str, value, minimum=None, maximum=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(key, f"key '{key}' must be a number, got {value!r}")
-    if integer and value != int(value):
-        raise _fail(key, f"key '{key}' must be an integer, got {value!r}")
     if not math.isfinite(value):
         raise _fail(key, f"key '{key}' must be finite")
+    if integer and value != int(value):
+        raise _fail(key, f"key '{key}' must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise _fail(key, f"key '{key}' must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -98,54 +124,48 @@ def _validate_number(key: str, value, minimum=None, maximum=None, integer=False)
     return int(value) if integer else float(value)
 
 
+def _check(experiment: str, key: str, value):
+    spec = _KEYS[key]
+    if spec.kind == "path":
+        if not isinstance(value, str) or not value:
+            raise _fail(key, f"key '{key}' must be a non-empty string")
+        return value
+    if spec.kind == "range":
+        if (
+            not isinstance(value, (list, tuple))
+            or len(value) != 2
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+        ):
+            raise _fail(key, f"key '{key}' must be a two-element numeric list")
+        lo, hi = (_validate_number(key, v) for v in value)
+        if lo > hi:
+            raise _fail(key, f"key '{key}' must be ordered, got [{lo}, {hi}]")
+        return [lo, hi]
+    # fit_fringe needs four samples, so sweep-phase raises the floor on `points`
+    minimum = 4 if (experiment, key) == ("sweep-phase", "points") else spec.minimum
+    return _validate_number(key, value, minimum, spec.maximum, integer=spec.kind == "int")
+
+
 def validate(config: RunConfig) -> RunConfig:
     """Check key presence, types, and ranges; returns a normalized copy."""
     experiment = config.experiment
     if experiment not in _EXPERIMENTS:
-        raise _fail("experiment", f"unknown experiment {experiment!r}; choose from {_EXPERIMENTS}")
-    allowed = _ALLOWED_KEYS[experiment]
-    for key in config.parameters:
-        if key not in allowed:
+        raise _fail(
+            "experiment", f"unknown experiment {experiment!r}; choose from {tuple(_EXPERIMENTS)}"
+        )
+    accepted, required = _EXPERIMENTS[experiment].keys, _EXPERIMENTS[experiment].required
+    params = config.parameters
+    for key in params:
+        if key not in accepted:
             raise _fail(key, f"unknown key '{key}' for experiment '{experiment}'")
-    params = dict(config.parameters)
-    for key in _REQUIRED_KEYS[experiment]:
+    for key in required:
         if key not in params:
             raise _fail(key, f"experiment '{experiment}' requires key '{key}'")
-    if experiment in ("ns-amplitude", "transform"):
-        if "r" not in params and not ("r_v" in params and "r_h" in params):
-            raise _fail("r", f"experiment '{experiment}' requires key 'r' (or both 'r_v' and 'r_h')")
-
-    checked: dict = {}
-    for key, value in params.items():
-        if key in ("n", "m"):
-            checked[key] = _validate_number(key, value, minimum=0, integer=True)
-        elif key == "points":
-            minimum = 4 if experiment == "sweep-phase" else 1
-            checked[key] = _validate_number(key, value, minimum=minimum, integer=True)
-        elif key in ("r", "r_v", "r_h", "eta"):
-            checked[key] = _validate_number(key, value, minimum=0.0, maximum=1.0)
-        elif key == "tau_coh_fs":
-            checked[key] = _validate_number(key, value, minimum=1e-12)
-        elif key == "background":
-            checked[key] = _validate_number(key, value, minimum=0.0)
-        elif key == "theta":
-            checked[key] = _validate_number(key, value)
-        elif key == "range_fs":
-            if (
-                not isinstance(value, (list, tuple))
-                or len(value) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-            ):
-                raise _fail(key, "key 'range_fs' must be a two-element numeric list")
-            lo, hi = float(value[0]), float(value[1])
-            if lo > hi:
-                raise _fail(key, f"key 'range_fs' must be ordered, got [{lo}, {hi}]")
-            checked[key] = [lo, hi]
-        elif key == "out_path":
-            if not isinstance(value, str) or not value:
-                raise _fail(key, "key 'out_path' must be a non-empty string")
-            checked[key] = value
-    return RunConfig(experiment, checked)
+    if "r" in accepted and "r" not in params and not ("r_v" in params and "r_h" in params):
+        raise _fail("r", f"experiment '{experiment}' requires key 'r' (or both 'r_v' and 'r_h')")
+    return RunConfig(
+        experiment, {key: _check(experiment, key, value) for key, value in params.items()}
+    )
 
 
 def load_config(path: str) -> RunConfig:
@@ -203,48 +223,26 @@ def write_csv(table: SweepTable, path: str) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its keys")
-    common.add_argument("--out", help="CSV output path")
-    common.add_argument("--background", type=float, help="additive fourfold accidental floor")
-    common.add_argument("--r-v", type=float, dest="r_v", help="splitter reflectivity, V polarization")
-    common.add_argument("--r-h", type=float, dest="r_h", help="splitter reflectivity, H polarization")
-
     parser = argparse.ArgumentParser(
         prog="focksim",
         description="Heralded sign-shift interferometer simulator (angles in radians, delays in femtoseconds)",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    ns = sub.add_parser("ns-amplitude", parents=[common], help="closed-form heralded amplitude")
-    ns.add_argument("--n", type=int, help="H-polarized photon count")
-    ns.add_argument("--m", type=int, help="V-polarized photon count (default 0)")
-    ns.add_argument("--r", type=float, help="splitter reflectivity for both polarizations")
-
-    tr = sub.add_parser("transform", parents=[common], help="same amplitude via the full pipeline")
-    tr.add_argument("--n", type=int, help="H-polarized photon count")
-    tr.add_argument("--m", type=int, help="V-polarized photon count (default 0)")
-    tr.add_argument("--r", type=float, help="splitter reflectivity for both polarizations")
-
-    sd = sub.add_parser("sweep-delay", parents=[common], help="fourfold probability vs ancilla delay")
-    sd.add_argument("--theta", type=float, help="pair phase in radians")
-    sd.add_argument("--from", type=float, dest="range_from", help="first delay in fs")
-    sd.add_argument("--to", type=float, dest="range_to", help="last delay in fs")
-    sd.add_argument("--points", type=int, help="number of delays")
-    sd.add_argument("--tau-coh", type=float, dest="tau_coh_fs", help="coherence time in fs")
-
-    sp = sub.add_parser("sweep-phase", parents=[common], help="two- and fourfold fringes vs phase")
-    sp.add_argument("--points", type=int, help="number of phases over [0, 2pi]")
-    sp.add_argument("--eta", type=float, help="ancilla overlap in [0, 1]")
-
-    hm = sub.add_parser("hom", parents=[common], help="coincidence-suppression dip vs delay")
-    hm.add_argument("--eta", type=float, help="maximum overlap at zero delay")
-    hm.add_argument("--from", type=float, dest="range_from", help="first delay in fs")
-    hm.add_argument("--to", type=float, dest="range_to", help="last delay in fs")
-    hm.add_argument("--points", type=int, help="number of delays")
-    hm.add_argument("--tau-coh", type=float, dest="tau_coh_fs", help="coherence time in fs")
-
+    for name, experiment in _EXPERIMENTS.items():
+        command = sub.add_parser(name, help=experiment.help)
+        command.add_argument("--config", help="JSON config file; flags override its keys")
+        for key in experiment.keys:
+            spec = _KEYS[key]
+            for dest, flag in _flag_dests(key, spec):
+                command.add_argument(flag, type=_PARSE[spec.kind], dest=dest, help=spec.help)
     return parser
+
+
+def _flag_dests(key: str, spec: _Key) -> list[tuple[str, str]]:
+    """(namespace attribute, flag) pairs; each end of a range is stored under its flag's name."""
+    if spec.kind == "range":
+        return [(flag.lstrip("-"), flag) for flag in spec.flag.split("/")]
+    return [(key, spec.flag)]
 
 
 def _merge(namespace: argparse.Namespace) -> RunConfig:
@@ -252,36 +250,26 @@ def _merge(namespace: argparse.Namespace) -> RunConfig:
     parameters: dict = {}
     if namespace.config:
         parameters.update(load_config(namespace.config).parameters)
-
-    direct = ("n", "m", "r", "theta", "points", "eta", "tau_coh_fs", "background", "r_v", "r_h")
-    for key in direct:
-        value = getattr(namespace, key, None)
-        if value is not None:
-            parameters[key] = value
-    if getattr(namespace, "out", None) is not None:
-        parameters["out_path"] = namespace.out
-    range_from = getattr(namespace, "range_from", None)
-    range_to = getattr(namespace, "range_to", None)
-    if range_from is not None or range_to is not None:
-        lo, hi = parameters.get("range_fs", _DEFAULTS["range_fs"])
-        parameters["range_fs"] = [
-            lo if range_from is None else range_from,
-            hi if range_to is None else range_to,
-        ]
+    for key in _EXPERIMENTS[experiment].keys:
+        spec = _KEYS[key]
+        values = [getattr(namespace, dest) for dest, _ in _flag_dests(key, spec)]
+        if spec.kind == "range":
+            if values != [None, None]:
+                base = parameters.get(key, spec.default)
+                parameters[key] = [b if v is None else v for b, v in zip(base, values)]
+        elif values[0] is not None:
+            parameters[key] = values[0]
     return validate(RunConfig(experiment, parameters))
 
 
 def _param(config: RunConfig, key: str):
-    if key in config.parameters:
-        return config.parameters[key]
-    return _DEFAULTS.get(key)
+    return config.parameters.get(key, _KEYS[key].default)
 
 
-def _experiment_settings(config: RunConfig, hwp_rotation: float = 45.0) -> ExperimentConfig:
+def _experiment_settings(config: RunConfig) -> ExperimentConfig:
     return ExperimentConfig(
         r_v=_param(config, "r_v"),
         r_h=_param(config, "r_h"),
-        hwp_rotation=hwp_rotation,
         tau_coh_fs=_param(config, "tau_coh_fs"),
         background=_param(config, "background"),
     )

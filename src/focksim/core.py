@@ -10,6 +10,7 @@ state is the probability of the heralding event.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -131,6 +132,8 @@ class PureState:
             if any(c < 0 or c != int(c) for c in occ):
                 raise DomainError(f"occupation counts must be non-negative integers: {occ}")
             value = complex(amp)
+            if not cmath.isfinite(value):
+                raise DomainError(f"amplitude of {occ} must be finite, got {value}")
             if abs(value) >= PRUNE_THRESHOLD:
                 kept[tuple(int(c) for c in occ)] = value
         self._amplitudes = kept
@@ -252,34 +255,6 @@ def expand_onto(state: PureState, registry: ModeRegistry) -> PureState:
             new_occ[pos] = count
         expanded[tuple(new_occ)] = amp
     return PureState(registry, expanded)
-
-
-class Ensemble:
-    """Incoherent mixture of normalized pure states with weights summing to <= 1."""
-
-    def __init__(self, components: Iterable[tuple[float, PureState]]):
-        items = []
-        total = 0.0
-        for weight, state in components:
-            if weight <= 0.0:
-                raise DomainError(f"ensemble weights must be positive, got {weight}")
-            if abs(state.norm_squared() - 1.0) > 1e-6:
-                raise NotNormalizedError("ensemble components must be normalized")
-            items.append((float(weight), state))
-            total += weight
-        if total > 1.0 + 1e-9:
-            raise DomainError(f"ensemble weights sum to {total}, above 1")
-        self._components = tuple(items)
-
-    @property
-    def components(self) -> tuple[tuple[float, PureState], ...]:
-        return self._components
-
-    def total_weight(self) -> float:
-        return math.fsum(w for w, _ in self._components)
-
-    def __iter__(self):
-        return iter(self._components)
 
 
 def ket_string(state: PureState, precision: int = 6) -> str:

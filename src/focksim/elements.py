@@ -7,6 +7,11 @@ first port maps to (sqrt(R), sqrt(1-R)) and the second port to
 (-sqrt(1-R), sqrt(R)), so the minus sign sits on the second port's
 transmission.  All reported interference signs downstream depend on this
 choice, which is therefore frozen here.
+
+The tabletop's spatial ports are fixed here too: the signal enters the
+sign-shift splitter on the analyzer port, the ancilla on the herald port,
+and the polarizing splitter sends the analyzer's V photons to detector
+path A and its H photons to detector path B.
 """
 
 from __future__ import annotations
@@ -27,6 +32,13 @@ from .errors import (
 #: Maximum allowed deviation of U†U from the identity.
 UNITARITY_TOL = 1e-10
 
+#: Tabletop spatial ports: signal/analyzer, herald, and the polarizing
+#: splitter's two outputs.
+ANALYZER_SPATIAL = 7
+HERALD_SPATIAL = 8
+DETECTOR_A_SPATIAL = 9   # V-polarized path after the polarizing splitter
+DETECTOR_B_SPATIAL = 10  # H-polarized path
+
 
 class ModeUnitary:
     """Unitary matrix over a set of modes, validated on construction."""
@@ -36,7 +48,7 @@ class ModeUnitary:
         if array.ndim != 2 or array.shape[0] != array.shape[1]:
             raise DimensionMismatchError(f"mode unitary must be square, got {array.shape}")
         deviation = np.abs(array.conj().T @ array - np.eye(array.shape[0])).max() if array.size else 0.0
-        if deviation > UNITARITY_TOL:
+        if not deviation <= UNITARITY_TOL:  # a NaN deviation fails this test too
             raise DomainError(f"matrix is not unitary: max |U†U - I| = {deviation:.3e}")
         array.setflags(write=False)
         self._matrix = array
@@ -100,12 +112,23 @@ def half_wave_plate(rotation_degrees: float) -> ModeUnitary:
     return ModeUnitary(np.array([[c, s], [s, -c]]))
 
 
-def pbs_router(
-    registry: ModeRegistry,
-    analyzer_spatial: int = 7,
-    detector_a_spatial: int = 9,
-    detector_b_spatial: int = 10,
-) -> ModeUnitary:
+def sign_shift_splitter(registry: ModeRegistry, r_v: float, r_h: float) -> ModeUnitary:
+    """Sign-shift splitter between the analyzer and herald ports.
+
+    `dual_pol_beam_splitter(r_v, r_h)` with the analyzer port as its first
+    input and the herald port as its second, applied identically on every
+    temporal bin of the registry.
+    """
+    block = dual_pol_beam_splitter(r_v, r_h).matrix
+    ports = [(ANALYZER_SPATIAL, H), (HERALD_SPATIAL, H), (ANALYZER_SPATIAL, V), (HERALD_SPATIAL, V)]
+    full = np.eye(registry.size, dtype=complex)
+    for t in sorted({label.temporal for label in registry.labels}):
+        indices = [registry.index(mode(spatial, pol, t)) for spatial, pol in ports]
+        full[np.ix_(indices, indices)] = block
+    return ModeUnitary(full)
+
+
+def pbs_router(registry: ModeRegistry) -> ModeUnitary:
     """Polarizing beam splitter routing analyzer output to detector paths.
 
     For every temporal bin, V photons on the analyzer mode go to detector
@@ -113,14 +136,14 @@ def pbs_router(
     identically on each temporal copy.
     """
     temporals = sorted(
-        {label.temporal for label in registry.labels if label.spatial == analyzer_spatial}
+        {label.temporal for label in registry.labels if label.spatial == ANALYZER_SPATIAL}
     )
     if not temporals:
-        raise MissingModeError(f"registry has no modes with spatial index {analyzer_spatial}")
+        raise MissingModeError(f"registry has no modes with spatial index {ANALYZER_SPATIAL}")
     full = np.eye(registry.size, dtype=complex)
     for t in temporals:
-        for pol, target in ((V, detector_a_spatial), (H, detector_b_spatial)):
-            src = registry.index(mode(analyzer_spatial, pol, t))
+        for pol, target in ((V, DETECTOR_A_SPATIAL), (H, DETECTOR_B_SPATIAL)):
+            src = registry.index(mode(ANALYZER_SPATIAL, pol, t))
             dst = registry.index(mode(target, pol, t))
             full[src, src] = 0.0
             full[dst, dst] = 0.0

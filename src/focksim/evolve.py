@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import H, V, ModeLabel, ModeRegistry, PureState, basis_state, mode
-from .elements import ModeUnitary, dual_pol_beam_splitter, embed_into
+from .elements import ANALYZER_SPATIAL, HERALD_SPATIAL, ModeUnitary, sign_shift_splitter
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -347,43 +347,28 @@ class NSPipelineResult(NamedTuple):
     probability: float
 
 
-#: Port layout of the heralded sign-shift stage: the signal enters and
-#: leaves on spatial 7, the ancilla enters and is detected on spatial 8.
-SIGNAL_SPATIAL = 7
-HERALD_SPATIAL = 8
-
-
 def ns_pipeline(m: int, n: int, r_v: float, r_h: float) -> NSPipelineResult:
     """Sign-shift operation via the full transform + herald route.
 
-    Sends |m_V; n_H> plus an H-polarized single-photon ancilla through the
-    dual-polarization beam splitter and post-selects on exactly one H
-    photon and no V photons on the herald side.  Returns the surviving
-    |m_V; n_H> amplitude and the herald probability; both must agree with
-    the closed forms, which is the cross-check the two code paths exist for.
+    Sends |m_V; n_H> on the analyzer port plus an H-polarized single-photon
+    ancilla on the herald port through the sign-shift splitter and
+    post-selects on exactly one H photon and no V photons on the herald
+    side.  Returns the surviving |m_V; n_H> amplitude and the herald
+    probability; both must agree with the closed forms, which is the
+    cross-check the two code paths exist for.
     """
     registry = ModeRegistry(
-        [mode(s, p) for s in (SIGNAL_SPATIAL, HERALD_SPATIAL) for p in (H, V)]
+        [mode(s, p) for s in (ANALYZER_SPATIAL, HERALD_SPATIAL) for p in (H, V)]
     )
     state = basis_state(
         registry,
         {
-            mode(SIGNAL_SPATIAL, V): m,
-            mode(SIGNAL_SPATIAL, H): n,
+            mode(ANALYZER_SPATIAL, V): m,
+            mode(ANALYZER_SPATIAL, H): n,
             mode(HERALD_SPATIAL, H): 1,
         },
     )
-    splitter = embed_into(
-        dual_pol_beam_splitter(r_v, r_h),
-        [
-            mode(SIGNAL_SPATIAL, H),
-            mode(HERALD_SPATIAL, H),
-            mode(SIGNAL_SPATIAL, V),
-            mode(HERALD_SPATIAL, V),
-        ],
-        registry,
-    )
-    evolved = transform(splitter, state)
+    evolved = transform(sign_shift_splitter(registry, r_v, r_h), state)
     result = herald(
         evolved,
         HeraldSpec(
@@ -397,6 +382,6 @@ def ns_pipeline(m: int, n: int, r_v: float, r_h: float) -> NSPipelineResult:
         return NSPipelineResult(0j, 0.0)
     conditional = result.conditional_state
     target = conditional.registry.occupation(
-        {mode(SIGNAL_SPATIAL, V): m, mode(SIGNAL_SPATIAL, H): n}
+        {mode(ANALYZER_SPATIAL, V): m, mode(ANALYZER_SPATIAL, H): n}
     )
     return NSPipelineResult(conditional.amplitude(target), result.probability)

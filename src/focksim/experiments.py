@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,12 +37,17 @@ from .core import (
 )
 from .distinguish import DEFAULT_TAU_COH_FS, extend_ancilla, overlap_from_delay
 from .elements import (
+    ANALYZER_SPATIAL,
+    DETECTOR_A_SPATIAL,
+    DETECTOR_B_SPATIAL,
+    HERALD_SPATIAL,
     ModeUnitary,
     compose,
     dual_pol_beam_splitter,
     embed_into,
     half_wave_plate,
     pbs_router,
+    sign_shift_splitter,
 )
 from .errors import (
     DegenerateFitError,
@@ -54,10 +59,6 @@ from .evolve import ANY, Exactly, HeraldSpec, ZERO, herald, transform
 
 PAIR_IN = (1, 2)
 MODE3_SPATIAL = 3
-ANALYZER_SPATIAL = 7
-HERALD_SPATIAL = 8
-DETECTOR_A_SPATIAL = 9   # V-polarized path after the polarizing splitter
-DETECTOR_B_SPATIAL = 10  # H-polarized path
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,10 @@ class ExperimentConfig:
     background: float = 0.0
 
     def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if not math.isfinite(value):
+                raise DomainError(f"{item.name} must be finite, got {value}")
         if not 0.0 <= self.r_v <= 1.0:
             raise DomainError(f"r_v must lie in [0, 1], got {self.r_v}")
         if not 0.0 <= self.r_h <= 1.0:
@@ -202,22 +207,8 @@ def analysis_circuit(registry: ModeRegistry, cfg: ExperimentConfig) -> ModeUnita
     The signal sits on spatial 7 and the ancilla on spatial 8 before the
     splitter; each element acts identically on every temporal bin.
     """
-    temporals = sorted({label.temporal for label in registry.labels})
-    stages = []
-    for t in temporals:
-        stages.append(
-            embed_into(
-                dual_pol_beam_splitter(cfg.r_v, cfg.r_h),
-                [
-                    mode(ANALYZER_SPATIAL, H, t),
-                    mode(HERALD_SPATIAL, H, t),
-                    mode(ANALYZER_SPATIAL, V, t),
-                    mode(HERALD_SPATIAL, V, t),
-                ],
-                registry,
-            )
-        )
-    for t in temporals:
+    stages = [sign_shift_splitter(registry, cfg.r_v, cfg.r_h)]
+    for t in sorted({label.temporal for label in registry.labels}):
         stages.append(
             embed_into(
                 half_wave_plate(cfg.hwp_rotation),

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -67,6 +69,11 @@ def test_load_config_range_checks(tmp_path):
         load_config(
             write_json(tmp_path, {"experiment": "sweep-delay", "theta": 0.0, "range_fs": [10, -10]})
         )
+    # non-finite integers are rejected before the integer test can overflow
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(write_json(tmp_path, {"experiment": "hom", "points": bad}))
+        assert err.value.key == "points"
 
 
 def test_config_round_trip(tmp_path):
@@ -80,6 +87,42 @@ def test_config_round_trip(tmp_path):
     assert load_config(path) == config
 
 
+#: One valid config per experiment holding every key it accepts, each with a
+#: value the flags under test override.
+FULL_CONFIGS = {
+    "ns-amplitude": {"n": 2, "m": 0, "r": 0.5, "r_v": 0.5, "r_h": 0.5},
+    "transform": {"n": 2, "m": 0, "r": 0.5, "r_v": 0.5, "r_h": 0.5},
+    "sweep-delay": {
+        "theta": 0.0,
+        "points": 5,
+        "tau_coh_fs": 100.0,
+        "range_fs": [-50.0, 50.0],
+        "r_v": 0.5,
+        "r_h": 0.5,
+        "background": 0.0,
+        "out_path": "d.csv",
+    },
+    "sweep-phase": {
+        "points": 25,
+        "eta": 1.0,
+        "r_v": 0.5,
+        "r_h": 0.5,
+        "background": 0.0,
+        "out_path": "p.csv",
+    },
+    "hom": {
+        "eta": 1.0,
+        "points": 5,
+        "tau_coh_fs": 100.0,
+        "range_fs": [-50.0, 50.0],
+        "r_v": 0.5,
+        "r_h": 0.5,
+        "background": 0.0,
+        "out_path": "h.csv",
+    },
+}
+
+
 @pytest.mark.parametrize(
     "flag,key,value,text",
     [
@@ -88,28 +131,26 @@ def test_config_round_trip(tmp_path):
         ("--background", "background", 0.001, "0.001"),
         ("--eta", "eta", 0.5, "0.5"),
         ("--points", "points", 9, "9"),
+        ("--n", "n", 3, "3"),
+        ("--m", "m", 1, "1"),
+        ("--r", "r", 0.75, "0.75"),
+        ("--theta", "theta", 1.5, "1.5"),
+        ("--tau-coh", "tau_coh_fs", 80.0, "80"),
+        ("--from", "range_fs", [-10.0, 50.0], "-10"),
+        ("--to", "range_fs", [-50.0, 20.0], "20"),
+        ("--out", "out_path", "elsewhere.csv", "elsewhere.csv"),
     ],
 )
 def test_flags_override_config(tmp_path, monkeypatch, flag, key, value, text):
     captured = {}
-
-    def spy(config):
-        captured.update(config.parameters)
-
-    monkeypatch.setattr("focksim.cli._run", spy)
-    path = write_json(
-        tmp_path,
-        {
-            "experiment": "sweep-phase",
-            "points": 25,
-            "eta": 1.0,
-            "r_v": 0.5,
-            "r_h": 0.5,
-            "background": 0.0,
-        },
-    )
-    assert execute(["sweep-phase", "--config", path, flag, text]) == 0
-    assert captured[key] == value
+    monkeypatch.setattr("focksim.cli._run", lambda config: captured.update(config.parameters))
+    experiments = [name for name, config in FULL_CONFIGS.items() if key in config]
+    assert experiments
+    for experiment in experiments:
+        captured.clear()
+        path = write_json(tmp_path, {"experiment": experiment, **FULL_CONFIGS[experiment]})
+        assert execute([experiment, "--config", path, flag, text]) == 0, experiment
+        assert captured[key] == value, experiment
 
 
 @pytest.mark.parametrize(
@@ -126,17 +167,7 @@ def test_flags_override_config(tmp_path, monkeypatch, flag, key, value, text):
 def test_sweep_delay_flags_override_config(tmp_path, monkeypatch, flags, key, value):
     captured = {}
     monkeypatch.setattr("focksim.cli._run", lambda config: captured.update(config.parameters))
-    path = write_json(
-        tmp_path,
-        {
-            "experiment": "sweep-delay",
-            "theta": 0.0,
-            "points": 5,
-            "tau_coh_fs": 100.0,
-            "range_fs": [-50.0, 50.0],
-            "out_path": "d.csv",
-        },
-    )
+    path = write_json(tmp_path, {"experiment": "sweep-delay", **FULL_CONFIGS["sweep-delay"]})
     assert execute(["sweep-delay", "--config", path, *flags]) == 0
     assert captured[key] == value
 
@@ -253,6 +284,48 @@ def test_execute_hom_visibility(capsys):
     assert value == pytest.approx(0.943**2, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "argv,stdout,csv_sha256",
+    [
+        (
+            "ns-amplitude --n 2 --r 0.5",
+            "amplitude=-0.353553391\n",
+            None,
+        ),
+        (
+            "transform --n 2 --r 0.5",
+            "amplitude=-0.353553391 probability=0.125000000\n",
+            None,
+        ),
+        (
+            "sweep-phase --points 25 --eta 1.0 --out {out}",
+            "phase_shift=3.141592654 twofold_amplitude=0.250000000 fourfold_amplitude=0.125000000\n",
+            "4a2040f4b3a4da2efcd581b759780d1adced67b426111ba150fc836cece92a16",
+        ),
+        (
+            "sweep-delay --theta 3.14159265 --from -300 --to 300 --points 61 --tau-coh 100 --out {out}",
+            "points=61 fourfold_min=0.000000000 fourfold_max=0.187476861\n",
+            "ea6889d35bd1b0ed6205513a1c3f8b0624c1d2d30e153ce79769778cf5a2fd9c",
+        ),
+        (
+            "hom --eta 0.943 --from -1000 --to 1000 --points 61 --tau-coh 100",
+            "visibility=0.889249000 fourfold_min=0.027687750 fourfold_max=0.250000000\n",
+            None,
+        ),
+    ],
+    ids=["ns-amplitude", "transform", "sweep-phase", "sweep-delay", "hom"],
+)
+def test_readme_examples_byte_identical(tmp_path, capsys, argv, stdout, csv_sha256):
+    """The README's example commands reproduce their recorded stdout and CSV bytes."""
+    out = tmp_path / "out.csv"
+    assert execute(argv.format(out=out).split()) == 0
+    assert capsys.readouterr().out == stdout
+    if csv_sha256 is None:
+        assert not out.exists()
+    else:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+
+
 def test_execute_validation_failures_exit_two(tmp_path, capsys):
     assert execute(["ns-amplitude", "--n", "2"]) == 2
     assert "r" in capsys.readouterr().err
@@ -260,6 +333,13 @@ def test_execute_validation_failures_exit_two(tmp_path, capsys):
     path = write_json(tmp_path, {"experiment": "warp"})
     assert execute(["hom", "--config", path]) == 2
     assert execute(["no-such-command"]) == 2
+    # each subcommand offers only the flags its experiment accepts
+    assert execute(["ns-amplitude", "--n", "2", "--r", "0.5", "--out", "x.csv"]) == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    # both ends of the delay window are finite-checked
+    for flags in (["--from", "nan"], ["--to", "inf"]):
+        assert execute(["sweep-delay", "--theta", "0", *flags]) == 2
+        assert "key 'range_fs' must be finite" in capsys.readouterr().err
 
 
 def test_execute_internal_errors_exit_one(tmp_path, capsys):

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from focksim import (
-    Ensemble,
     ModeRegistry,
     PureState,
     basis_state,
@@ -80,6 +79,10 @@ def test_pure_state_validates_occupations():
         PureState(reg, {(0, 1, 0): 1.0})
     with pytest.raises(DomainError):
         PureState(reg, {(0, -1): 1.0})
+    # a non-finite amplitude must not be pruned away as if it were zero
+    for bad in (math.nan, complex(0.0, math.inf)):
+        with pytest.raises(DomainError):
+            PureState(reg, {(0, 2): bad})
 
 
 def test_normalize_scalar_factor():
@@ -207,16 +210,3 @@ def test_expand_onto_keeps_amplitudes():
     grown = expand_onto(state, big)
     assert grown.amplitude({mode(3, "H"): 2}) == pytest.approx(1.0)
     assert grown.registry is big
-
-
-def test_ensemble_validation():
-    reg = pair_registry()
-    unit = basis_state(reg, {mode(3, "H"): 2})
-    ensemble = Ensemble([(0.7, unit), (0.3, basis_state(reg, {mode(3, "V"): 2}))])
-    assert ensemble.total_weight() == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        Ensemble([(0.0, unit)])
-    with pytest.raises(DomainError):
-        Ensemble([(0.8, unit), (0.3, unit)])
-    with pytest.raises(NotNormalizedError):
-        Ensemble([(0.5, PureState(reg, {(2, 0): 0.5}))])

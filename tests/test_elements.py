@@ -201,5 +201,7 @@ def test_random_constructor_unitarity():
 def test_mode_unitary_rejects_non_unitary():
     with pytest.raises(DomainError):
         ModeUnitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(DomainError):
+        ModeUnitary(np.full((2, 2), np.nan))
     with pytest.raises(DimensionMismatchError):
         ModeUnitary(np.ones((2, 3)))

@@ -167,6 +167,13 @@ def test_sweep_delay_validation():
         SweepTable("delay_fs", [0.0, 0.0], {"fourfold": [0.1, 0.1]})
 
 
+def test_experiment_config_rejects_non_finite():
+    for field in ("r_v", "r_h", "hwp_rotation", "tau_coh_fs", "background"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ExperimentConfig(**{field: bad})
+
+
 def test_sweep_hom_delay_dip():
     delays = [float(d) for d in np.linspace(-1000.0, 1000.0, 21)]
     table = sweep_hom_delay(delays, CFG, eta_max=0.8)
