@@ -60,7 +60,7 @@ _KEYS = {
     "r_v": _Key("--r-v", "float", 0.0, 1.0, 0.5, "splitter reflectivity, V polarization"),
     "r_h": _Key("--r-h", "float", 0.0, 1.0, 0.5, "splitter reflectivity, H polarization"),
     "theta": _Key("--theta", "float", None, None, None, "pair phase in radians"),
-    "points": _Key("--points", "int", 1, None, 61, "number of sweep points"),
+    "points": _Key("--points", "int", 1, 100_000, 61, "number of sweep points"),
     "eta": _Key("--eta", "float", 0.0, 1.0, 1.0, "ancilla overlap at zero delay, in [0, 1]"),
     "tau_coh_fs": _Key("--tau-coh", "float", 1e-12, None, 100.0, "coherence time in fs"),
     "range_fs": _Key("--from/--to", "range", None, None, (-300.0, 300.0), "delay window in fs"),
@@ -129,6 +129,10 @@ def _check(experiment: str, key: str, value):
     if spec.kind == "path":
         if not isinstance(value, str) or not value:
             raise _fail(key, f"key '{key}' must be a non-empty string")
+        if os.path.isdir(value):
+            raise _fail(key, f"key '{key}' names a directory: {value}")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(value))):
+            raise _fail(key, f"key '{key}' lies in a missing directory: {value}")
         return value
     if spec.kind == "range":
         if (

@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     DuplicateModeError,
-    MissingModeError,
 )
 
 #: Maximum allowed deviation of U†U from the identity.
@@ -116,40 +115,27 @@ def sign_shift_splitter(registry: ModeRegistry, r_v: float, r_h: float) -> ModeU
     """Sign-shift splitter between the analyzer and herald ports.
 
     `dual_pol_beam_splitter(r_v, r_h)` with the analyzer port as its first
-    input and the herald port as its second, applied identically on every
-    temporal bin of the registry.
+    input and the herald port as its second, in every temporal bin.
     """
-    block = dual_pol_beam_splitter(r_v, r_h).matrix
-    ports = [(ANALYZER_SPATIAL, H), (HERALD_SPATIAL, H), (ANALYZER_SPATIAL, V), (HERALD_SPATIAL, V)]
-    full = np.eye(registry.size, dtype=complex)
-    for t in sorted({label.temporal for label in registry.labels}):
-        indices = [registry.index(mode(spatial, pol, t)) for spatial, pol in ports]
-        full[np.ix_(indices, indices)] = block
-    return ModeUnitary(full)
+    return embed_per_bin(
+        dual_pol_beam_splitter(r_v, r_h),
+        [(ANALYZER_SPATIAL, H), (HERALD_SPATIAL, H), (ANALYZER_SPATIAL, V), (HERALD_SPATIAL, V)],
+        registry,
+    )
 
 
 def pbs_router(registry: ModeRegistry) -> ModeUnitary:
     """Polarizing beam splitter routing analyzer output to detector paths.
 
-    For every temporal bin, V photons on the analyzer mode go to detector
-    path A and H photons to detector path B.  Pure permutation, applied
-    identically on each temporal copy.
+    In every temporal bin, V photons on the analyzer mode go to detector
+    path A and H photons to detector path B: a pure permutation.
     """
-    temporals = sorted(
-        {label.temporal for label in registry.labels if label.spatial == ANALYZER_SPATIAL}
+    swap = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    return embed_per_bin(
+        ModeUnitary(swap),
+        [(ANALYZER_SPATIAL, V), (DETECTOR_A_SPATIAL, V), (ANALYZER_SPATIAL, H), (DETECTOR_B_SPATIAL, H)],
+        registry,
     )
-    if not temporals:
-        raise MissingModeError(f"registry has no modes with spatial index {ANALYZER_SPATIAL}")
-    full = np.eye(registry.size, dtype=complex)
-    for t in temporals:
-        for pol, target in ((V, DETECTOR_A_SPATIAL), (H, DETECTOR_B_SPATIAL)):
-            src = registry.index(mode(ANALYZER_SPATIAL, pol, t))
-            dst = registry.index(mode(target, pol, t))
-            full[src, src] = 0.0
-            full[dst, dst] = 0.0
-            full[dst, src] = 1.0
-            full[src, dst] = 1.0
-    return ModeUnitary(full)
 
 
 def embed_into(
@@ -166,6 +152,23 @@ def embed_into(
     full = np.eye(registry.size, dtype=complex)
     full[np.ix_(indices, indices)] = element.matrix
     return ModeUnitary(full)
+
+
+def embed_per_bin(
+    element: ModeUnitary, ports: Sequence[tuple[int, str]], registry: ModeRegistry
+) -> ModeUnitary:
+    """Place an element on the listed (spatial, pol) ports in every temporal bin.
+
+    Every tabletop element acts identically on each temporal copy of its
+    ports, so a registry with delayed modes gets one copy of the element
+    per temporal bin it holds.
+    """
+    bins = sorted({label.temporal for label in registry.labels})
+    return embed_into(
+        ModeUnitary(np.kron(np.eye(len(bins)), element.matrix)),
+        [mode(spatial, pol, t) for t in bins for spatial, pol in ports],
+        registry,
+    )
 
 
 def compose(elements: Sequence[ModeUnitary]) -> ModeUnitary:

@@ -3,9 +3,11 @@
 The transition amplitude between occupation m and n under a mode unitary U
 is Per(U[m, n]) / sqrt(prod(m_i!) * prod(n_j!)), where U[m, n] repeats row k
 m_k times and column j n_j times.  `transform` evaluates this with a Ryser
-permanent; `transform_oracle` re-derives the same map by brute-force
-expansion of the creation-operator polynomial and is kept free of
-permanents so the two routes stay independent checks of each other.
+permanent, enumerating only the output rows an input component can reach
+(rows with a non-zero entry in its input columns); `transform_oracle`
+re-derives the same map by brute-force expansion of the creation-operator
+polynomial and is kept free of permanents so the two routes stay
+independent checks of each other.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -125,16 +128,15 @@ def transform(unitary: ModeUnitary, state: PureState) -> PureState:
     rows_list = unitary.matrix.tolist()
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.items():
-        total = sum(occ)
         cols = [j for j, c in enumerate(occ) for _ in range(c)]
         in_fact = _fact_prod(occ)
-        for target in occupations(total, size):
-            sub = [
-                [rows_list[k][j] for j in cols]
-                for k, c in enumerate(target)
-                for _ in range(c)
-            ]
-            per = _permanent_rows(sub)
+        reach = {k: [row[j] for j in cols] for k, row in enumerate(rows_list)}
+        live = [k for k, entries in reach.items() if any(entries)]
+        # other rows only give zero permanents; reversed, the ascending row
+        # picks yield targets in canonical occupation order, as before
+        for picked in reversed(list(combinations_with_replacement(live, len(cols)))):
+            target = tuple(picked.count(k) for k in range(size))
+            per = _permanent_rows([reach[k] for k in picked])
             if per == 0:
                 continue
             # dividing the permanent by one combined square root first keeps
@@ -282,10 +284,8 @@ def herald(state: PureState, spec: HeraldSpec) -> HeraldResult:
         for label in group:
             if label not in registry:
                 raise HeraldSpecError(f"herald references unregistered mode {label}")
-    measured = sorted(spec.measured_labels())
-    unmeasured = [label for label in registry.labels if label not in spec.measured_labels()]
-    measured_reg = ModeRegistry(measured)
-    unmeasured_reg = ModeRegistry(unmeasured)
+    measured_reg = ModeRegistry(spec.measured_labels())
+    unmeasured_reg = ModeRegistry(label for label in registry.labels if label not in measured_reg)
     group_indices = [
         ([registry.index(label) for label in group], condition)
         for group, condition in spec.groups
@@ -318,7 +318,7 @@ def ns_amplitude(n: int, reflectivity: float) -> float:
     once n exceeds R/(1-R) and vanishes at n = R/(1-R).  R = 0 returns 0
     by convention (the all-reflection path is impossible).
     """
-    if n < 0 or n != int(n):
+    if not (n >= 0 and n % 1 == 0):  # false for NaN and inf too
         raise DomainError(f"photon number must be a non-negative integer, got {n}")
     if not 0.0 <= reflectivity <= 1.0:
         raise DomainError(f"reflectivity must lie in [0, 1], got {reflectivity}")
@@ -335,7 +335,7 @@ def ns_amplitude_pol(m: int, n: int, r_v: float, r_h: float) -> float:
     Vertical photons only contribute their reflection amplitude; the
     sign-shift bracket involves the horizontal count alone.
     """
-    if m < 0 or m != int(m):
+    if not (m >= 0 and m % 1 == 0):  # false for NaN and inf too
         raise DomainError(f"photon number must be a non-negative integer, got {m}")
     if not 0.0 <= r_v <= 1.0:
         raise DomainError(f"r_v must lie in [0, 1], got {r_v}")

@@ -45,6 +45,7 @@ from .elements import (
     compose,
     dual_pol_beam_splitter,
     embed_into,
+    embed_per_bin,
     half_wave_plate,
     pbs_router,
     sign_shift_splitter,
@@ -207,17 +208,10 @@ def analysis_circuit(registry: ModeRegistry, cfg: ExperimentConfig) -> ModeUnita
     The signal sits on spatial 7 and the ancilla on spatial 8 before the
     splitter; each element acts identically on every temporal bin.
     """
-    stages = [sign_shift_splitter(registry, cfg.r_v, cfg.r_h)]
-    for t in sorted({label.temporal for label in registry.labels}):
-        stages.append(
-            embed_into(
-                half_wave_plate(cfg.hwp_rotation),
-                [mode(ANALYZER_SPATIAL, H, t), mode(ANALYZER_SPATIAL, V, t)],
-                registry,
-            )
-        )
-    stages.append(pbs_router(registry))
-    return compose(stages)
+    plate = embed_per_bin(
+        half_wave_plate(cfg.hwp_rotation), [(ANALYZER_SPATIAL, H), (ANALYZER_SPATIAL, V)], registry
+    )
+    return compose([sign_shift_splitter(registry, cfg.r_v, cfg.r_h), plate, pbs_router(registry)])
 
 
 def _temporal_group(registry: ModeRegistry, spatial: int, pol: str):
@@ -305,21 +299,27 @@ def hom_probability(eta: float, cfg: ExperimentConfig) -> float:
     Fully overlapping photons (eta = 1) never produce the herald pattern;
     the coincidence rate grows as the photons become distinguishable.
     """
-    mode3, _ = apply_bs1(input_psi_plus())
-    return fourfold_from_mode3(mode3, eta, replace(cfg, hwp_rotation=0.0)) + cfg.background
+    return sweep_hom_delay([0.0], cfg, eta).column("fourfold")[0]
+
+
+def _fourfold_vs_delay(
+    pair: PureState, delays_fs: Sequence[float], cfg: ExperimentConfig, eta_max: float, name: str
+) -> SweepTable:
+    delays = [float(d) for d in delays_fs]
+    if not delays:
+        raise EmptySweepError(f"{name} needs at least one delay")
+    mode3, _ = apply_bs1(pair)
+    values = [
+        fourfold_from_mode3(mode3, eta_max * overlap_from_delay(d, cfg.tau_coh_fs), cfg)
+        + cfg.background
+        for d in delays
+    ]
+    return SweepTable("delay_fs", delays, {"fourfold": values})
 
 
 def sweep_delay(theta: float, delays_fs: Sequence[float], cfg: ExperimentConfig) -> SweepTable:
     """Fourfold probability versus ancilla delay at fixed phase theta."""
-    delays = [float(d) for d in delays_fs]
-    if not delays:
-        raise EmptySweepError("sweep_delay needs at least one delay")
-    mode3, _ = apply_bs1(input_phi_theta(theta))
-    values = [
-        fourfold_from_mode3(mode3, overlap_from_delay(d, cfg.tau_coh_fs), cfg) + cfg.background
-        for d in delays
-    ]
-    return SweepTable("delay_fs", delays, {"fourfold": values})
+    return _fourfold_vs_delay(input_phi_theta(theta), delays_fs, cfg, 1.0, "sweep_delay")
 
 
 def sweep_hom_delay(
@@ -332,17 +332,8 @@ def sweep_hom_delay(
     """
     if not 0.0 <= eta_max <= 1.0:
         raise DomainError(f"eta_max must lie in [0, 1], got {eta_max}")
-    delays = [float(d) for d in delays_fs]
-    if not delays:
-        raise EmptySweepError("sweep_hom_delay needs at least one delay")
-    mode3, _ = apply_bs1(input_psi_plus())
     cfg0 = replace(cfg, hwp_rotation=0.0)
-    values = [
-        fourfold_from_mode3(mode3, eta_max * overlap_from_delay(d, cfg.tau_coh_fs), cfg0)
-        + cfg.background
-        for d in delays
-    ]
-    return SweepTable("delay_fs", delays, {"fourfold": values})
+    return _fourfold_vs_delay(input_psi_plus(), delays_fs, cfg0, eta_max, "sweep_hom_delay")
 
 
 def sweep_phase(thetas: Sequence[float], eta: float, cfg: ExperimentConfig) -> SweepTable:

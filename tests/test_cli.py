@@ -74,6 +74,13 @@ def test_load_config_range_checks(tmp_path):
         with pytest.raises(ConfigValidationError) as err:
             load_config(write_json(tmp_path, {"experiment": "hom", "points": bad}))
         assert err.value.key == "points"
+    # a sweep grid is capped before np.linspace can exhaust memory
+    for experiment, extra in (("hom", {}), ("sweep-delay", {"theta": 0.0}), ("sweep-phase", {})):
+        config = {"experiment": experiment, "points": 100_000, **extra}
+        assert load_config(write_json(tmp_path, config)).parameters["points"] == 100_000
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(write_json(tmp_path, {**config, "points": 100_001}))
+        assert err.value.key == "points"
 
 
 def test_config_round_trip(tmp_path):
@@ -340,19 +347,36 @@ def test_execute_validation_failures_exit_two(tmp_path, capsys):
     for flags in (["--from", "nan"], ["--to", "inf"]):
         assert execute(["sweep-delay", "--theta", "0", *flags]) == 2
         assert "key 'range_fs' must be finite" in capsys.readouterr().err
-
-
-def test_execute_internal_errors_exit_one(tmp_path, capsys):
+    # an unwritable --out is rejected before any computation
     missing_dir = tmp_path / "absent" / "out.csv"
-    code = execute(["sweep-phase", "--points", "4", "--out", str(missing_dir)])
+    for target in (missing_dir, tmp_path):
+        assert execute(["sweep-phase", "--points", "4", "--out", str(target)]) == 2
+        assert "key 'out_path'" in capsys.readouterr().err
+    assert not missing_dir.parent.exists()
+    # the grid size is capped before np.linspace allocates it
+    for argv in (["sweep-delay", "--theta", "0"], ["hom"]):
+        assert execute([*argv, "--points", "10000000000000"]) == 2
+        assert "key 'points' must be <= 100000" in capsys.readouterr().err
+
+
+def test_execute_internal_errors_exit_one(tmp_path, monkeypatch, capsys):
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("tempfile.mkstemp", disk_full)
+    code = execute(["sweep-phase", "--points", "4", "--out", str(tmp_path / "out.csv")])
     assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert "error: OSError" in capsys.readouterr().err
 
 
-def test_execute_never_leaves_partial_csv(tmp_path):
+def test_execute_never_leaves_partial_csv(tmp_path, monkeypatch):
     target = tmp_path / "partial.csv"
-    # force a failure after table computation by making the target a directory
-    target.mkdir()
+
+    def interrupted(*args):
+        raise OSError("rename interrupted")
+
+    # fail after the staging file is written, just before it is renamed into place
+    monkeypatch.setattr("os.replace", interrupted)
     code = execute(["sweep-phase", "--points", "4", "--out", str(target)])
     assert code == 1
-    assert list(target.iterdir()) == []
+    assert list(tmp_path.iterdir()) == []

@@ -10,6 +10,7 @@ from focksim import (
     compose,
     dual_pol_beam_splitter,
     embed_into,
+    embed_per_bin,
     half_wave_plate,
     mode,
     pbs_router,
@@ -154,6 +155,20 @@ def test_embed_errors():
         embed_into(beam_splitter(0.5), [mode(0, "H"), mode(0, "H")], reg)
     with pytest.raises(MissingModeError):
         embed_into(beam_splitter(0.5), [mode(0, "H"), mode(9, "H")], reg)
+
+
+def test_embed_per_bin_places_element_in_every_bin():
+    reg = ModeRegistry([mode(s, p, t) for s in (3, 5) for p in "HV" for t in (0, 1)])
+    b = beam_splitter(0.37)
+    per_bin = embed_per_bin(b, [(3, "V"), (5, "H")], reg)
+    by_bin = [embed_into(b, [mode(3, "V", t), mode(5, "H", t)], reg) for t in (0, 1)]
+    assert np.array_equal(per_bin.matrix, compose(by_bin).matrix)
+    with pytest.raises(DimensionMismatchError):
+        embed_per_bin(b, [(3, "V")], reg)
+    with pytest.raises(DuplicateModeError):
+        embed_per_bin(b, [(3, "V"), (3, "V")], reg)
+    with pytest.raises(MissingModeError):
+        embed_per_bin(b, [(3, "V"), (4, "H")], reg)
 
 
 def test_compose_single_and_inverse():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focksim import (
     ANY,
@@ -15,6 +17,9 @@ from focksim import (
     ZERO,
     basis_state,
     beam_splitter,
+    compose,
+    embed_into,
+    embed_per_bin,
     herald,
     mode,
     ns_amplitude,
@@ -285,6 +290,14 @@ def test_ns_amplitude_domain():
         ns_amplitude(-1, 0.5)
     with pytest.raises(DomainError):
         ns_amplitude(1, 1.5)
+    # non-finite photon numbers used to escape as OverflowError or ValueError
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ns_amplitude(bad, 0.5)
+        with pytest.raises(DomainError):
+            ns_amplitude_pol(bad, 1, 0.5, 0.5)
+        with pytest.raises(DomainError):
+            ns_amplitude_pol(0, bad, 0.5, 0.5)
 
 
 def test_ns_amplitude_pol_examples():
@@ -343,3 +356,39 @@ def test_oracle_equivalence_random_unitaries():
             worst, max_amplitude_difference(transform(u, state), transform_oracle(u, state))
         )
     assert worst < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_transform_matches_oracle_on_sparse_circuits(data):
+    # circuits built from small elements leave most rows out of reach of an
+    # input, which is what lets `transform` skip them
+    spatials = data.draw(st.integers(2, 3), label="spatial modes")
+    bins = data.draw(st.integers(1, 2), label="temporal bins")
+    reg = ModeRegistry([mode(s, p, t) for s in range(spatials) for p in "HV" for t in range(bins)])
+    ports = sorted({(label.spatial, label.pol) for label in reg.labels})
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    stages = []
+    for kind in data.draw(st.lists(st.sampled_from(["mode", "bin", "perm"]), min_size=1, max_size=3)):
+        if kind == "perm":
+            stages.append(ModeUnitary(np.eye(reg.size)[rng.permutation(reg.size)]))
+            continue
+        dim = data.draw(st.sampled_from([2, 4]))
+        pool = reg.labels if kind == "mode" else ports
+        picked = data.draw(st.lists(st.sampled_from(pool), min_size=dim, max_size=dim, unique=True))
+        place = embed_into if kind == "mode" else embed_per_bin
+        stages.append(place(random_unitary(rng, dim), picked, reg))
+    # each component is a multiset of occupied modes: empty is the vacuum,
+    # repeats are bunched photons
+    components = data.draw(
+        st.lists(st.lists(st.integers(0, reg.size - 1), max_size=3), min_size=1, max_size=3)
+    )
+    amplitudes = {}
+    for photons in components:
+        occ = [0] * reg.size
+        for k in photons:
+            occ[k] += 1
+        amplitudes[tuple(occ)] = complex(*rng.standard_normal(2))
+    state = PureState(reg, amplitudes)
+    u = compose(stages)
+    assert max_amplitude_difference(transform(u, state), transform_oracle(u, state)) < 1e-9
