@@ -7,6 +7,7 @@ flag overrides the matching config key.  `_KEYS` describes every config key
 once (flag, kind, range, default, help) and `_EXPERIMENTS` lists the keys
 each subcommand accepts; the parser, the flag merge and the validator are
 all read from these two tables, so a subcommand offers only its own flags.
+Keys named after an `ExperimentConfig` field take their defaults from it.
 Exit codes: 0 success, 2 for configuration or validation problems, 1 for
 internal errors.
 """
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     ConfigValidationError,
     DomainError,
     EmptySweepError,
+    is_finite,
 )
 from .evolve import ns_amplitude_pol, ns_pipeline
 from .experiments import (
@@ -57,14 +59,14 @@ _KEYS = {
     "n": _Key("--n", "int", 0, None, None, "H-polarized photon count"),
     "m": _Key("--m", "int", 0, None, 0, "V-polarized photon count (default 0)"),
     "r": _Key("--r", "float", 0.0, 1.0, None, "splitter reflectivity for both polarizations"),
-    "r_v": _Key("--r-v", "float", 0.0, 1.0, 0.5, "splitter reflectivity, V polarization"),
-    "r_h": _Key("--r-h", "float", 0.0, 1.0, 0.5, "splitter reflectivity, H polarization"),
+    "r_v": _Key("--r-v", "float", 0.0, 1.0, None, "splitter reflectivity, V polarization"),
+    "r_h": _Key("--r-h", "float", 0.0, 1.0, None, "splitter reflectivity, H polarization"),
     "theta": _Key("--theta", "float", None, None, None, "pair phase in radians"),
     "points": _Key("--points", "int", 1, 100_000, 61, "number of sweep points"),
     "eta": _Key("--eta", "float", 0.0, 1.0, 1.0, "ancilla overlap at zero delay, in [0, 1]"),
-    "tau_coh_fs": _Key("--tau-coh", "float", 1e-12, None, 100.0, "coherence time in fs"),
+    "tau_coh_fs": _Key("--tau-coh", "float", 1e-12, None, None, "coherence time in fs"),
     "range_fs": _Key("--from/--to", "range", None, None, (-300.0, 300.0), "delay window in fs"),
-    "background": _Key("--background", "float", 0.0, None, 0.0, "additive fourfold accidental floor"),
+    "background": _Key("--background", "float", 0.0, None, None, "additive fourfold accidental floor"),
     "out_path": _Key("--out", "path", None, None, None, "CSV output path"),
 }
 
@@ -113,7 +115,7 @@ def _fail(key: str, message: str) -> ConfigValidationError:
 def _validate_number(key: str, value, minimum=None, maximum=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(key, f"key '{key}' must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not is_finite(value):
         raise _fail(key, f"key '{key}' must be finite")
     if integer and value != int(value):
         raise _fail(key, f"key '{key}' must be an integer, got {value!r}")
@@ -271,12 +273,8 @@ def _param(config: RunConfig, key: str):
 
 
 def _experiment_settings(config: RunConfig) -> ExperimentConfig:
-    return ExperimentConfig(
-        r_v=_param(config, "r_v"),
-        r_h=_param(config, "r_h"),
-        tau_coh_fs=_param(config, "tau_coh_fs"),
-        background=_param(config, "background"),
-    )
+    names = {item.name for item in fields(ExperimentConfig)}
+    return ExperimentConfig(**{k: v for k, v in config.parameters.items() if k in names})
 
 
 def _reflectivities(config: RunConfig) -> tuple[float, float]:

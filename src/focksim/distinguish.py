@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .core import ModeLabel, ModeRegistry, PureState
-from .errors import DomainError
+from .errors import DomainError, check_unit_interval, is_finite
 
 #: Default coherence time of the interfering photons, femtoseconds.
 DEFAULT_TAU_COH_FS = 100.0
@@ -25,8 +25,10 @@ def overlap_from_delay(delay_fs: float, tau_coh_fs: float = DEFAULT_TAU_COH_FS) 
     Even in the delay, 1 at zero delay, and strictly decreasing with
     |delay|; delays well beyond the coherence time give eta ~ 0.
     """
-    if tau_coh_fs <= 0.0:
-        raise DomainError(f"coherence time must be positive, got {tau_coh_fs}")
+    if not is_finite(delay_fs):
+        raise DomainError(f"delay must be finite, got {delay_fs}")
+    if not (is_finite(tau_coh_fs) and tau_coh_fs > 0.0):
+        raise DomainError(f"coherence time must be positive and finite, got {tau_coh_fs}")
     return math.exp(-(delay_fs * delay_fs) / (2.0 * tau_coh_fs * tau_coh_fs))
 
 
@@ -38,8 +40,7 @@ def extend_ancilla(registry: ModeRegistry, ancilla_mode: ModeLabel, eta: float) 
     """
     if ancilla_mode.temporal != 0:
         raise DomainError("the ancilla mode must be given in temporal bin 0")
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"overlap must lie in [0, 1], got {eta}")
+    check_unit_interval("overlap", eta)
     delayed = ModeLabel(ancilla_mode.spatial, ancilla_mode.pol, 1)
     amplitudes = {
         registry.occupation({ancilla_mode: 1}): complex(eta),

@@ -26,6 +26,8 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     DuplicateModeError,
+    check_unit_interval,
+    is_finite,
 )
 
 #: Maximum allowed deviation of U†U from the identity.
@@ -64,19 +66,13 @@ class ModeUnitary:
         return f"ModeUnitary(dim={self.dim})"
 
 
-def _check_reflectivity(value: float, name: str = "reflectivity") -> float:
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value}")
-    return float(value)
-
-
 def beam_splitter(reflectivity: float) -> ModeUnitary:
     """Two-mode beam splitter with the frozen sign convention.
 
     Columns are (sqrt(R), sqrt(1-R)) and (-sqrt(1-R), sqrt(R)); R = 1 is the
     identity and R = 1/2 the balanced splitter.
     """
-    r = _check_reflectivity(reflectivity)
+    r = check_unit_interval("reflectivity", reflectivity)
     t = math.sqrt(1.0 - r)
     s = math.sqrt(r)
     return ModeUnitary(np.array([[s, -t], [t, s]]))
@@ -89,8 +85,8 @@ def dual_pol_beam_splitter(r_v: float, r_h: float) -> ModeUnitary:
     block beam_splitter(r_h) and the V block beam_splitter(r_v).  There is
     no H<->V mixing.
     """
-    _check_reflectivity(r_v, "r_v")
-    _check_reflectivity(r_h, "r_h")
+    check_unit_interval("r_v", r_v)
+    check_unit_interval("r_h", r_h)
     block_h = beam_splitter(r_h).matrix
     block_v = beam_splitter(r_v).matrix
     full = np.zeros((4, 4), dtype=complex)
@@ -106,6 +102,8 @@ def half_wave_plate(rotation_degrees: float) -> ModeUnitary:
     H -> (H+V)/sqrt(2) and V -> (H-V)/sqrt(2), at 0 degrees the
     polarizations are unchanged up to a sign on V.
     """
+    if not is_finite(rotation_degrees):
+        raise DomainError(f"rotation must be finite, got {rotation_degrees}")
     p = math.radians(rotation_degrees)
     c, s = math.cos(p), math.sin(p)
     return ModeUnitary(np.array([[c, s], [s, -c]]))

@@ -1,4 +1,9 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the shared domain checks."""
+
+import sys
+
+#: Largest finite float; a larger int cannot be converted to a float.
+FLOAT_MAX = sys.float_info.max
 
 
 class FockSimError(Exception):
@@ -37,7 +42,7 @@ class NonSquareError(FockSimError):
     """The permanent is defined for square matrices only."""
 
 
-class PhotonCapError(FockSimError):
+class PhotonCapError(DomainError):
     """A state component exceeds the supported photon number."""
 
 
@@ -67,3 +72,22 @@ class ConfigValidationError(ConfigError):
     def __init__(self, key: str, message: str):
         super().__init__(message)
         self.key = key
+
+
+def is_finite(value) -> bool:
+    """False for NaN, +-inf and ints too large for a float; never raises OverflowError."""
+    return -FLOAT_MAX <= value <= FLOAT_MAX
+
+
+def check_unit_interval(name: str, value) -> float:
+    """`value` as a float; DomainError unless 0 <= value <= 1 (NaN fails too)."""
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1], got {value}")
+    return float(value)
+
+
+def check_count(name: str, value) -> int:
+    """`value` as an int; DomainError unless a non-negative integer a float can hold."""
+    if not (0 <= value <= FLOAT_MAX and value % 1 == 0):
+        raise DomainError(f"{name} must be a non-negative integer, got {value}")
+    return int(value)

@@ -29,6 +29,8 @@ from .errors import (
     NonSquareError,
     PhotonCapError,
     ZeroStateError,
+    check_count,
+    check_unit_interval,
 )
 
 #: Largest total photon number `transform` accepts.
@@ -79,12 +81,15 @@ def permanent(matrix) -> complex:
     array = np.asarray(matrix, dtype=complex)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise NonSquareError(f"permanent requires a square matrix, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise DomainError("permanent requires finite matrix entries")
     return _permanent_rows(array.tolist())
 
 
 @lru_cache(maxsize=None)
 def occupations(total: int, modes: int) -> tuple[tuple[int, ...], ...]:
     """All occupation tuples of `total` photons over `modes`, lexicographic."""
+    total, modes = check_count("photon number", total), check_count("mode count", modes)
     if modes == 0:
         return ((),) if total == 0 else ()
     if modes == 1:
@@ -212,8 +217,7 @@ class HeraldSpec:
             if group & seen:
                 raise HeraldSpecError(f"herald groups overlap on {sorted(group & seen)}")
             if isinstance(condition, Exactly):
-                if condition.count < 0:
-                    raise DomainError("Exactly(k) requires k >= 0")
+                check_count("Exactly(k)", condition.count)
             elif not isinstance(condition, _Rule):
                 raise HeraldSpecError(f"unknown herald condition {condition!r}")
             seen |= group
@@ -242,16 +246,8 @@ class HeraldResult:
     pattern survives.
     """
 
-    def __init__(
-        self,
-        probability: float,
-        measured_registry: ModeRegistry,
-        unmeasured_registry: ModeRegistry,
-        branches: Sequence[tuple[tuple[int, ...], PureState]],
-    ):
+    def __init__(self, probability: float, branches: Sequence[tuple[tuple[int, ...], PureState]]):
         self.probability = probability
-        self.measured_registry = measured_registry
-        self.unmeasured_registry = unmeasured_registry
         self.branches = tuple(branches)
 
     @property
@@ -308,7 +304,7 @@ def herald(state: PureState, spec: HeraldSpec) -> HeraldResult:
         for pattern, amps in sorted(collected.items())
     ]
     probability = math.fsum(sub.norm_squared() for _, sub in branches)
-    return HeraldResult(probability, measured_reg, unmeasured_reg, branches)
+    return HeraldResult(probability, branches)
 
 
 def ns_amplitude(n: int, reflectivity: float) -> float:
@@ -318,10 +314,8 @@ def ns_amplitude(n: int, reflectivity: float) -> float:
     once n exceeds R/(1-R) and vanishes at n = R/(1-R).  R = 0 returns 0
     by convention (the all-reflection path is impossible).
     """
-    if not (n >= 0 and n % 1 == 0):  # false for NaN and inf too
-        raise DomainError(f"photon number must be a non-negative integer, got {n}")
-    if not 0.0 <= reflectivity <= 1.0:
-        raise DomainError(f"reflectivity must lie in [0, 1], got {reflectivity}")
+    check_count("photon number", n)
+    check_unit_interval("reflectivity", reflectivity)
     if reflectivity == 0.0:
         return 0.0
     if n == 0:
@@ -335,10 +329,8 @@ def ns_amplitude_pol(m: int, n: int, r_v: float, r_h: float) -> float:
     Vertical photons only contribute their reflection amplitude; the
     sign-shift bracket involves the horizontal count alone.
     """
-    if not (m >= 0 and m % 1 == 0):  # false for NaN and inf too
-        raise DomainError(f"photon number must be a non-negative integer, got {m}")
-    if not 0.0 <= r_v <= 1.0:
-        raise DomainError(f"r_v must lie in [0, 1], got {r_v}")
+    check_count("photon number", m)
+    check_unit_interval("r_v", r_v)
     return r_v ** (m / 2.0) * ns_amplitude(n, r_h)
 
 

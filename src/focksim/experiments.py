@@ -55,6 +55,8 @@ from .errors import (
     DomainError,
     EmptySweepError,
     ZeroStateError,
+    check_unit_interval,
+    is_finite,
 )
 from .evolve import ANY, Exactly, HeraldSpec, ZERO, herald, transform
 
@@ -80,12 +82,10 @@ class ExperimentConfig:
     def __post_init__(self):
         for item in fields(self):
             value = getattr(self, item.name)
-            if not math.isfinite(value):
+            if not is_finite(value):
                 raise DomainError(f"{item.name} must be finite, got {value}")
-        if not 0.0 <= self.r_v <= 1.0:
-            raise DomainError(f"r_v must lie in [0, 1], got {self.r_v}")
-        if not 0.0 <= self.r_h <= 1.0:
-            raise DomainError(f"r_h must lie in [0, 1], got {self.r_h}")
+        check_unit_interval("r_v", self.r_v)
+        check_unit_interval("r_h", self.r_h)
         if self.tau_coh_fs <= 0.0:
             raise DomainError(f"tau_coh_fs must be positive, got {self.tau_coh_fs}")
         if self.background < 0.0:
@@ -99,12 +99,14 @@ class SweepTable:
         xs = tuple(float(value) for value in x)
         if not xs:
             raise EmptySweepError("a sweep table needs at least one row")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise DomainError("sweep x values must be strictly increasing")
+        if not all(map(is_finite, xs)) or any(b <= a for a, b in zip(xs, xs[1:])):
+            raise DomainError("sweep x values must be finite and strictly increasing")
         cols = {name: tuple(float(v) for v in values) for name, values in columns.items()}
         for name, values in cols.items():
             if len(values) != len(xs):
                 raise DomainError(f"column {name!r} has {len(values)} rows, expected {len(xs)}")
+            if not all(map(is_finite, values)):
+                raise DomainError(f"column {name!r} holds a non-finite value")
         self.x_name = x_name
         self.x = xs
         self.columns = cols
@@ -280,6 +282,13 @@ def fourfold_probability(theta: float, eta: float, cfg: ExperimentConfig) -> flo
     return fourfold_from_mode3(mode3, eta, cfg) + cfg.background
 
 
+def _twofold_from_mode3(mode3_state: PureState, cfg: ExperimentConfig) -> float:
+    registry = analysis_registry(delayed=False)
+    signal = _place_signal(mode3_state, registry)
+    evolved = transform(analysis_circuit(registry, cfg), signal)
+    return herald(evolved, twofold_herald(registry)).probability
+
+
 def twofold_probability(theta: float, cfg: ExperimentConfig) -> float:
     """A-B pair coincidence with the ancilla absent.
 
@@ -287,10 +296,7 @@ def twofold_probability(theta: float, cfg: ExperimentConfig) -> float:
     correlations: the result is proportional to sin^2(theta/2).
     """
     mode3, _ = apply_bs1(input_phi_theta(theta))
-    registry = analysis_registry(delayed=False)
-    signal = _place_signal(mode3, registry)
-    evolved = transform(analysis_circuit(registry, cfg), signal)
-    return herald(evolved, twofold_herald(registry)).probability
+    return _twofold_from_mode3(mode3, cfg)
 
 
 def hom_probability(eta: float, cfg: ExperimentConfig) -> float:
@@ -330,8 +336,7 @@ def sweep_hom_delay(
     `eta_max` caps the overlap at zero delay, modeling photons that are
     imperfectly indistinguishable even when they arrive together.
     """
-    if not 0.0 <= eta_max <= 1.0:
-        raise DomainError(f"eta_max must lie in [0, 1], got {eta_max}")
+    check_unit_interval("eta_max", eta_max)
     cfg0 = replace(cfg, hwp_rotation=0.0)
     return _fourfold_vs_delay(input_psi_plus(), delays_fs, cfg0, eta_max, "sweep_hom_delay")
 
@@ -341,8 +346,9 @@ def sweep_phase(thetas: Sequence[float], eta: float, cfg: ExperimentConfig) -> S
     grid = [float(t) for t in thetas]
     if not grid:
         raise EmptySweepError("sweep_phase needs at least one phase")
-    twofold = [twofold_probability(t, cfg) for t in grid]
-    fourfold = [fourfold_probability(t, eta, cfg) for t in grid]
+    mode3s = [apply_bs1(input_phi_theta(t))[0] for t in grid]
+    twofold = [_twofold_from_mode3(m, cfg) for m in mode3s]
+    fourfold = [fourfold_from_mode3(m, eta, cfg) + cfg.background for m in mode3s]
     return SweepTable("theta", grid, {"twofold": twofold, "fourfold": fourfold})
 
 
@@ -353,6 +359,8 @@ def fit_fringe(samples: Iterable[tuple[float, float]]) -> FringeFit:
     enforced by the choice of phi and phi lies in (-pi, pi].
     """
     pairs = [(float(t), float(y)) for t, y in samples]
+    if not all(is_finite(t) and is_finite(y) for t, y in pairs):
+        raise DomainError("fringe samples must be finite")
     if len(pairs) < 4:
         raise DegenerateFitError(f"need at least 4 samples, got {len(pairs)}")
     thetas = np.array([t for t, _ in pairs])
@@ -380,8 +388,8 @@ def fit_fringe(samples: Iterable[tuple[float, float]]) -> FringeFit:
 def visibility(fit: FringeFit) -> float:
     """Fringe contrast (max - min) / (max + min) of a fitted curve."""
     denominator = fit.amplitude + 2.0 * fit.offset
-    if denominator <= 0.0:
-        raise DomainError("visibility undefined: amplitude + 2*offset must be positive")
+    if not (is_finite(denominator) and denominator > 0.0):
+        raise DomainError("visibility undefined: amplitude + 2*offset must be positive and finite")
     return fit.amplitude / denominator
 
 
@@ -390,6 +398,8 @@ def dip_visibility(values: Sequence[float]) -> float:
     data = [float(v) for v in values]
     if not data:
         raise EmptySweepError("dip_visibility needs at least one value")
+    if not all(map(is_finite, data)):
+        raise DomainError("dip visibility undefined: values must be finite")
     top = max(data)
     if top <= 0.0:
         raise DomainError("dip visibility undefined: all values are zero")

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from focksim.cli import RunConfig, execute, load_config, validate, write_csv
+from focksim.cli import RunConfig, _experiment_settings, execute, load_config, validate, write_csv
 from focksim.errors import ConfigParseError, ConfigValidationError, EmptySweepError
-from focksim.experiments import SweepTable
+from focksim.experiments import ExperimentConfig, SweepTable
 
 
 def write_json(tmp_path, payload, name="config.json"):
@@ -69,8 +69,9 @@ def test_load_config_range_checks(tmp_path):
         load_config(
             write_json(tmp_path, {"experiment": "sweep-delay", "theta": 0.0, "range_fs": [10, -10]})
         )
-    # non-finite integers are rejected before the integer test can overflow
-    for bad in (math.nan, math.inf):
+    # non-finite integers, and ints too large for a float, are rejected
+    # before the integer test can overflow
+    for bad in (math.nan, math.inf, 10**400):
         with pytest.raises(ConfigValidationError) as err:
             load_config(write_json(tmp_path, {"experiment": "hom", "points": bad}))
         assert err.value.key == "points"
@@ -81,6 +82,13 @@ def test_load_config_range_checks(tmp_path):
         with pytest.raises(ConfigValidationError) as err:
             load_config(write_json(tmp_path, {**config, "points": 100_001}))
         assert err.value.key == "points"
+
+
+def test_experiment_settings_default_to_experiment_config():
+    # keys left out take ExperimentConfig's own defaults, not a second copy
+    assert _experiment_settings(validate(RunConfig("hom", {}))) == ExperimentConfig()
+    given = {"r_v": 0.25, "r_h": 0.75, "tau_coh_fs": 80.0, "background": 0.001}
+    assert _experiment_settings(validate(RunConfig("hom", given))) == ExperimentConfig(**given)
 
 
 def test_config_round_trip(tmp_path):
@@ -357,6 +365,12 @@ def test_execute_validation_failures_exit_two(tmp_path, capsys):
     for argv in (["sweep-delay", "--theta", "0"], ["hom"]):
         assert execute([*argv, "--points", "10000000000000"]) == 2
         assert "key 'points' must be <= 100000" in capsys.readouterr().err
+    # an int too large for a float used to exit 1 with OverflowError
+    assert execute(["ns-amplitude", "--n", "1" + "0" * 400, "--r", "0.5"]) == 2
+    assert "key 'n' must be finite" in capsys.readouterr().err
+    # 8 photons plus the ancilla exceed the photon cap: exit 2, not exit 1
+    assert execute(["transform", "--n", "8", "--r", "0.5"]) == 2
+    assert "more than 8 photons" in capsys.readouterr().err
 
 
 def test_execute_internal_errors_exit_one(tmp_path, monkeypatch, capsys):

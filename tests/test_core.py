@@ -47,6 +47,10 @@ def test_registry_rejects_duplicates_and_bad_labels():
         mode(1, "X")
     with pytest.raises(DomainError):
         mode(1, "H", -1)
+    # fractional or non-finite indices used to be truncated or escape as ValueError
+    for spatial, temporal in ((1.5, 0), (1, 0.5), (math.nan, 0), (1, math.inf)):
+        with pytest.raises(DomainError):
+            mode(spatial, "H", temporal)
     with pytest.raises(MissingModeError):
         pair_registry().index(mode(9, "H"))
 
@@ -64,6 +68,10 @@ def test_occupation_helper():
     assert reg.vacuum() == (0, 0)
     with pytest.raises(DomainError):
         reg.occupation({mode(3, "V"): -1})
+    # non-finite counts used to escape as ValueError or OverflowError
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            reg.occupation({mode(3, "V"): bad})
 
 
 def test_pure_state_prunes_small_amplitudes():
@@ -79,6 +87,9 @@ def test_pure_state_validates_occupations():
         PureState(reg, {(0, 1, 0): 1.0})
     with pytest.raises(DomainError):
         PureState(reg, {(0, -1): 1.0})
+    for bad in (math.nan, math.inf, 0.5):
+        with pytest.raises(DomainError):
+            PureState(reg, {(0, bad): 1.0})
     # a non-finite amplitude must not be pruned away as if it were zero
     for bad in (math.nan, complex(0.0, math.inf)):
         with pytest.raises(DomainError):

@@ -37,6 +37,10 @@ def test_overlap_even_and_decreasing():
 def test_overlap_requires_positive_coherence_time():
     with pytest.raises(DomainError):
         overlap_from_delay(10.0, 0.0)
+    # a NaN delay or coherence time used to give a NaN overlap
+    for delay, tau in ((math.nan, 100.0), (0.0, math.nan), (math.inf, 100.0), (0.0, math.inf)):
+        with pytest.raises(DomainError):
+            overlap_from_delay(delay, tau)
 
 
 def test_extend_ancilla_limits():

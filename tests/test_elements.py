@@ -88,6 +88,10 @@ def test_half_wave_plate_angles():
     u90 = half_wave_plate(90.0).matrix
     assert np.allclose(u90, [[0, 1], [1, 0]], atol=1e-12)
     assert np.abs(u45.imag).max() == 0.0
+    # an infinite angle used to raise a bare ValueError from math.cos
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            half_wave_plate(bad)
 
 
 def analyzer_registry():

@@ -94,6 +94,8 @@ def test_permanent_rejects_non_square():
 
 
 def test_occupations_enumeration():
+    # an integral float count used to fail inside range()
+    assert occupations(2.0, 2) == occupations(2, 2)
     occs = occupations(2, 3)
     assert occs[0] == (0, 0, 2)
     assert occs == tuple(sorted(occs))
@@ -193,6 +195,8 @@ def test_transform_guards():
         transform(ModeUnitary(np.eye(3)), basis_state(reg, {mode(0, "H"): 1}))
     with pytest.raises(PhotonCapError):
         transform(beam_splitter(0.5), basis_state(reg, {mode(0, "H"): 9}))
+    # an over-cap photon number is a domain problem, not an internal error
+    assert issubclass(PhotonCapError, DomainError)
 
 
 # ------------------------------------------------------------------- herald
@@ -268,6 +272,10 @@ def test_herald_group_conditions_validate():
         HeraldSpec([([mode(7, "H")], ZERO), ([mode(7, "H")], ANY)])
     with pytest.raises(DomainError):
         HeraldSpec([([mode(7, "H")], Exactly(-1))])
+    # these used to herald with probability 0 instead of failing
+    for bad in (math.nan, 0.5, math.inf):
+        with pytest.raises(DomainError):
+            HeraldSpec([([mode(7, "H")], Exactly(bad))])
 
 
 # ------------------------------------------------------------- closed forms
@@ -290,8 +298,9 @@ def test_ns_amplitude_domain():
         ns_amplitude(-1, 0.5)
     with pytest.raises(DomainError):
         ns_amplitude(1, 1.5)
-    # non-finite photon numbers used to escape as OverflowError or ValueError
-    for bad in (math.inf, math.nan):
+    # non-finite or float-overflowing photon numbers used to escape as
+    # OverflowError or ValueError
+    for bad in (math.inf, math.nan, 10**400):
         with pytest.raises(DomainError):
             ns_amplitude(bad, 0.5)
         with pytest.raises(DomainError):

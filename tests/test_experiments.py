@@ -23,6 +23,7 @@ from focksim import (
     twofold_probability,
     visibility,
 )
+from focksim import experiments
 from focksim.errors import DegenerateFitError, DomainError, EmptySweepError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -165,11 +166,17 @@ def test_sweep_delay_validation():
         sweep_delay(0.0, [], CFG)
     with pytest.raises(DomainError):
         SweepTable("delay_fs", [0.0, 0.0], {"fourfold": [0.1, 0.1]})
+    # NaN passed the strictly-increasing test, which is false for NaN
+    bad_tables = (([0.0, math.nan, 2.0], [0.1] * 3), ([0.0, math.inf], [0.1] * 2), ([0.0], [math.nan]))
+    for xs, ys in bad_tables:
+        with pytest.raises(DomainError):
+            SweepTable("delay_fs", xs, {"fourfold": ys})
 
 
 def test_experiment_config_rejects_non_finite():
     for field in ("r_v", "r_h", "hwp_rotation", "tau_coh_fs", "background"):
-        for bad in (math.nan, math.inf):
+        # an int too large for a float used to raise OverflowError
+        for bad in (math.nan, math.inf, 10**400):
             with pytest.raises(DomainError):
                 ExperimentConfig(**{field: bad})
 
@@ -183,9 +190,17 @@ def test_sweep_hom_delay_dip():
     assert dip_visibility(values) == pytest.approx(0.64, abs=1e-9)
 
 
-def test_sweep_phase_columns():
+def test_sweep_phase_columns(monkeypatch):
     thetas = [0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, 2.0 * math.pi]
+    calls = []
+    original = experiments.apply_bs1
+    monkeypatch.setattr(experiments, "apply_bs1", lambda state: calls.append(1) or original(state))
     table = sweep_phase(thetas, 1.0, CFG)
+    # both columns share one mode-3 preparation per phase
+    assert len(calls) == len(thetas)
+    monkeypatch.undo()
+    assert table.column("twofold") == tuple(twofold_probability(t, CFG) for t in thetas)
+    assert table.column("fourfold") == tuple(fourfold_probability(t, 1.0, CFG) for t in thetas)
     assert table.column("twofold")[0] == pytest.approx(0.0, abs=1e-12)
     assert table.column("fourfold")[0] == pytest.approx(0.125, abs=1e-12)
     assert table.column("twofold")[2] == pytest.approx(0.25, abs=1e-12)
@@ -238,6 +253,11 @@ def test_fit_fringe_rejects_degenerate_inputs():
         fit_fringe([(0.0, 1.0), (0.0, 1.0), (4.0, 1.0), (4.0, 1.0)])
     with pytest.raises(DegenerateFitError):
         fit_fringe([(0.0, 1.0), (1.0, 0.5), (2.0, 0.2), (3.0, 0.1)])
+    # one NaN sample used to turn the whole fit into NaN
+    samples = model_samples(1.0, 0.0, 0.0)
+    for bad in ((math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5)):
+        with pytest.raises(DomainError):
+            fit_fringe([*samples, bad])
 
 
 def test_visibility_values():
@@ -245,6 +265,9 @@ def test_visibility_values():
     assert visibility(FringeFit(0.5, 0.25, 0.0, 0.0)) == pytest.approx(0.5)
     with pytest.raises(DomainError):
         visibility(FringeFit(0.0, 0.0, 0.0, 0.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            visibility(FringeFit(bad, 0.0, 0.0, 0.0))
 
 
 def test_dip_visibility_calibrates_overlap():
@@ -252,6 +275,10 @@ def test_dip_visibility_calibrates_overlap():
     eta_max = math.sqrt(0.89)
     table = sweep_hom_delay(delays, CFG, eta_max=eta_max)
     assert dip_visibility(table.column("fourfold")) == pytest.approx(0.89, abs=1e-9)
+    # a NaN sample used to be skipped by max() and min()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            dip_visibility([1.0, bad, 0.5])
 
 
 # --------------------------------------------------------------- phase shift
