@@ -4,10 +4,13 @@ Subcommands: ns-amplitude, transform, sweep-delay, sweep-phase, hom.
 Angles on the command line are radians; delays and coherence times are
 femtoseconds.  Values may come from a JSON config object (--config) and any
 flag overrides the matching config key.  `_KEYS` describes every config key
-once (flag, kind, range, default, help) and `_EXPERIMENTS` lists the keys
-each subcommand accepts; the parser, the flag merge and the validator are
-all read from these two tables, so a subcommand offers only its own flags.
-Keys named after an `ExperimentConfig` field take their defaults from it.
+once (flag, kind, range, default, help) and `_EXPERIMENTS` holds, per
+subcommand, the keys it accepts and the runner that computes its result;
+the parser, the flag merge, the validator and the dispatch are all read
+from these two tables, so a subcommand offers only its own flags.
+`validate` checks every rule a run must pass, so a runner is handed only
+valid input.  Keys named after an `ExperimentConfig` field take their
+defaults from it.
 Exit codes: 0 success, 2 for configuration or validation problems, 1 for
 internal errors.
 """
@@ -21,7 +24,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .errors import (
     EmptySweepError,
     is_finite,
 )
-from .evolve import ns_amplitude_pol, ns_pipeline
+from .evolve import PHOTON_CAP, ns_amplitude_pol, ns_pipeline
 from .experiments import (
     ExperimentConfig,
     SweepTable,
@@ -77,23 +80,89 @@ class _Experiment(NamedTuple):
     help: str
     keys: tuple[str, ...]
     required: tuple[str, ...]
+    # config -> (table for --out or None, stdout pairs: a str as is, a number to 9 decimals)
+    run: Callable[[RunConfig], tuple[SweepTable | None, list[tuple[str, str | float]]]]
+
+
+def _param(config: RunConfig, key: str):
+    return config.parameters.get(key, _KEYS[key].default)
+
+
+def _experiment_settings(config: RunConfig) -> ExperimentConfig:
+    names = {item.name for item in fields(ExperimentConfig)}
+    return ExperimentConfig(**{k: v for k, v in config.parameters.items() if k in names})
+
+
+def _amplitude_args(config: RunConfig) -> tuple[int, int, float, float]:
+    """(m, n, r_v, r_h) for the closed form and the pipeline; `r` fills an unset r_v / r_h."""
+    r = config.parameters.get("r")
+    r_v, r_h = config.parameters.get("r_v", r), config.parameters.get("r_h", r)
+    return _param(config, "m"), config.parameters["n"], r_v, r_h
+
+
+def _grid(config: RunConfig) -> list[float]:
+    lo, hi = _param(config, "range_fs")
+    return [float(v) for v in np.linspace(lo, hi, _param(config, "points"))]
+
+
+def _fourfold_range(table: SweepTable) -> list[tuple[str, float]]:
+    four = table.column("fourfold")
+    return [("fourfold_min", min(four)), ("fourfold_max", max(four))]
+
+
+def _run_ns_amplitude(config: RunConfig):
+    return None, [("amplitude", ns_amplitude_pol(*_amplitude_args(config)))]
+
+
+def _run_transform(config: RunConfig):
+    result = ns_pipeline(*_amplitude_args(config))
+    return None, [("amplitude", result.amplitude.real), ("probability", result.probability)]
+
+
+def _run_sweep_delay(config: RunConfig):
+    table = sweep_delay(config.parameters["theta"], _grid(config), _experiment_settings(config))
+    return table, [("points", str(len(table))), *_fourfold_range(table)]
+
+
+def _run_sweep_phase(config: RunConfig):
+    thetas = [float(v) for v in np.linspace(0.0, 2.0 * math.pi, _param(config, "points"))]
+    table = sweep_phase(thetas, _param(config, "eta"), _experiment_settings(config))
+    two = fit_fringe(zip(table.x, table.column("twofold")))
+    four = fit_fringe(zip(table.x, table.column("fourfold")))
+    return table, [
+        ("phase_shift", fringe_phase_shift(table)),
+        ("twofold_amplitude", two.amplitude),
+        ("fourfold_amplitude", four.amplitude),
+    ]
+
+
+def _run_hom(config: RunConfig):
+    table = sweep_hom_delay(_grid(config), _experiment_settings(config), _param(config, "eta"))
+    dip = dip_visibility(table.column("fourfold"))
+    return table, [("visibility", dip), *_fourfold_range(table)]
 
 
 _AMPLITUDE_KEYS = ("n", "m", "r", "r_v", "r_h")
 _DELAY_KEYS = ("range_fs", "points", "tau_coh_fs", "r_v", "r_h", "background", "out_path")
+_PHASE_KEYS = ("points", "eta", "r_v", "r_h", "background", "out_path")
 
 _EXPERIMENTS = {
-    "ns-amplitude": _Experiment("closed-form heralded amplitude", _AMPLITUDE_KEYS, ("n",)),
-    "transform": _Experiment("same amplitude via the full pipeline", _AMPLITUDE_KEYS, ("n",)),
+    "ns-amplitude": _Experiment(
+        "closed-form heralded amplitude", _AMPLITUDE_KEYS, ("n",), _run_ns_amplitude
+    ),
+    "transform": _Experiment(
+        "same amplitude via the full pipeline", _AMPLITUDE_KEYS, ("n",), _run_transform
+    ),
     "sweep-delay": _Experiment(
-        "fourfold probability vs ancilla delay", ("theta", *_DELAY_KEYS), ("theta",)
+        "fourfold probability vs ancilla delay",
+        ("theta", *_DELAY_KEYS),
+        ("theta",),
+        _run_sweep_delay,
     ),
     "sweep-phase": _Experiment(
-        "two- and fourfold fringes vs phase",
-        ("points", "eta", "r_v", "r_h", "background", "out_path"),
-        ("points",),
+        "two- and fourfold fringes vs phase", _PHASE_KEYS, ("points",), _run_sweep_phase
     ),
-    "hom": _Experiment("coincidence-suppression dip vs delay", ("eta", *_DELAY_KEYS), ()),
+    "hom": _Experiment("coincidence-suppression dip vs delay", ("eta", *_DELAY_KEYS), (), _run_hom),
 }
 
 
@@ -108,21 +177,17 @@ class RunConfig:
         return {"experiment": self.experiment, **self.parameters}
 
 
-def _fail(key: str, message: str) -> ConfigValidationError:
-    return ConfigValidationError(key, message)
-
-
 def _validate_number(key: str, value, minimum=None, maximum=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(key, f"key '{key}' must be a number, got {value!r}")
+        raise ConfigValidationError(key, f"key '{key}' must be a number, got {value!r}")
     if not is_finite(value):
-        raise _fail(key, f"key '{key}' must be finite")
+        raise ConfigValidationError(key, f"key '{key}' must be finite")
     if integer and value != int(value):
-        raise _fail(key, f"key '{key}' must be an integer, got {value!r}")
+        raise ConfigValidationError(key, f"key '{key}' must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise _fail(key, f"key '{key}' must be >= {minimum}, got {value}")
+        raise ConfigValidationError(key, f"key '{key}' must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
-        raise _fail(key, f"key '{key}' must be <= {maximum}, got {value}")
+        raise ConfigValidationError(key, f"key '{key}' must be <= {maximum}, got {value}")
     return int(value) if integer else float(value)
 
 
@@ -130,11 +195,11 @@ def _check(experiment: str, key: str, value):
     spec = _KEYS[key]
     if spec.kind == "path":
         if not isinstance(value, str) or not value:
-            raise _fail(key, f"key '{key}' must be a non-empty string")
+            raise ConfigValidationError(key, f"key '{key}' must be a non-empty string")
         if os.path.isdir(value):
-            raise _fail(key, f"key '{key}' names a directory: {value}")
+            raise ConfigValidationError(key, f"key '{key}' names a directory: {value}")
         if not os.path.isdir(os.path.dirname(os.path.abspath(value))):
-            raise _fail(key, f"key '{key}' lies in a missing directory: {value}")
+            raise ConfigValidationError(key, f"key '{key}' lies in a missing directory: {value}")
         return value
     if spec.kind == "range":
         if (
@@ -142,10 +207,10 @@ def _check(experiment: str, key: str, value):
             or len(value) != 2
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
         ):
-            raise _fail(key, f"key '{key}' must be a two-element numeric list")
+            raise ConfigValidationError(key, f"key '{key}' must be a two-element numeric list")
         lo, hi = (_validate_number(key, v) for v in value)
         if lo > hi:
-            raise _fail(key, f"key '{key}' must be ordered, got [{lo}, {hi}]")
+            raise ConfigValidationError(key, f"key '{key}' must be ordered, got [{lo}, {hi}]")
         return [lo, hi]
     # fit_fringe needs four samples, so sweep-phase raises the floor on `points`
     minimum = 4 if (experiment, key) == ("sweep-phase", "points") else spec.minimum
@@ -156,22 +221,37 @@ def validate(config: RunConfig) -> RunConfig:
     """Check key presence, types, and ranges; returns a normalized copy."""
     experiment = config.experiment
     if experiment not in _EXPERIMENTS:
-        raise _fail(
+        raise ConfigValidationError(
             "experiment", f"unknown experiment {experiment!r}; choose from {tuple(_EXPERIMENTS)}"
         )
     accepted, required = _EXPERIMENTS[experiment].keys, _EXPERIMENTS[experiment].required
     params = config.parameters
     for key in params:
         if key not in accepted:
-            raise _fail(key, f"unknown key '{key}' for experiment '{experiment}'")
+            raise ConfigValidationError(key, f"unknown key '{key}' for experiment '{experiment}'")
     for key in required:
         if key not in params:
-            raise _fail(key, f"experiment '{experiment}' requires key '{key}'")
+            raise ConfigValidationError(key, f"experiment '{experiment}' requires key '{key}'")
     if "r" in accepted and "r" not in params and not ("r_v" in params and "r_h" in params):
-        raise _fail("r", f"experiment '{experiment}' requires key 'r' (or both 'r_v' and 'r_h')")
-    return RunConfig(
+        raise ConfigValidationError(
+            "r", f"experiment '{experiment}' requires key 'r' (or both 'r_v' and 'r_h')"
+        )
+    checked = RunConfig(
         experiment, {key: _check(experiment, key, value) for key, value in params.items()}
     )
+    if "range_fs" in accepted:  # a sweep table's delays must strictly increase
+        lo, hi = _param(checked, "range_fs")
+        if lo == hi and _param(checked, "points") > 1:
+            raise ConfigValidationError(
+                "range_fs", "key 'range_fs' must span an interval for points > 1"
+            )
+    # the pipeline adds one ancilla photon; ns-amplitude is a closed form with no cap
+    if experiment == "transform":
+        photons = checked.parameters["n"] + _param(checked, "m") + 1
+        if photons > PHOTON_CAP:
+            message = f"key 'n': n + m + ancilla = {photons}, more than {PHOTON_CAP} photons"
+            raise ConfigValidationError("n", message)
+    return checked
 
 
 def load_config(path: str) -> RunConfig:
@@ -184,10 +264,10 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigParseError(f"config {path} must hold a JSON object")
     if "experiment" not in raw:
-        raise _fail("experiment", "config is missing the 'experiment' key")
+        raise ConfigValidationError("experiment", "config is missing the 'experiment' key")
     experiment = raw["experiment"]
     if not isinstance(experiment, str):
-        raise _fail("experiment", "key 'experiment' must be a string")
+        raise ConfigValidationError("experiment", "key 'experiment' must be a string")
     parameters = {key: value for key, value in raw.items() if key != "experiment"}
     return validate(RunConfig(experiment, parameters))
 
@@ -268,98 +348,11 @@ def _merge(namespace: argparse.Namespace) -> RunConfig:
     return validate(RunConfig(experiment, parameters))
 
 
-def _param(config: RunConfig, key: str):
-    return config.parameters.get(key, _KEYS[key].default)
-
-
-def _experiment_settings(config: RunConfig) -> ExperimentConfig:
-    names = {item.name for item in fields(ExperimentConfig)}
-    return ExperimentConfig(**{k: v for k, v in config.parameters.items() if k in names})
-
-
-def _reflectivities(config: RunConfig) -> tuple[float, float]:
-    r = config.parameters.get("r")
-    return config.parameters.get("r_v", r), config.parameters.get("r_h", r)
-
-
-def _grid(config: RunConfig) -> list[float]:
-    lo, hi = _param(config, "range_fs")
-    points = _param(config, "points")
-    if points > 1 and lo == hi:
-        raise ConfigValidationError("range_fs", "key 'range_fs' must span an interval for points > 1")
-    return [float(v) for v in np.linspace(lo, hi, points)]
-
-
-def _emit(pairs: list[tuple[str, str]]) -> None:
-    print(" ".join(f"{key}={value}" for key, value in pairs))
-
-
 def _run(config: RunConfig) -> None:
-    experiment = config.experiment
-    out_path = config.parameters.get("out_path")
-
-    if experiment == "ns-amplitude":
-        r_v, r_h = _reflectivities(config)
-        value = ns_amplitude_pol(_param(config, "m"), config.parameters["n"], r_v, r_h)
-        _emit([("amplitude", _format_fixed(value))])
-        return
-
-    if experiment == "transform":
-        r_v, r_h = _reflectivities(config)
-        result = ns_pipeline(_param(config, "m"), config.parameters["n"], r_v, r_h)
-        _emit(
-            [
-                ("amplitude", _format_fixed(result.amplitude.real)),
-                ("probability", _format_fixed(result.probability)),
-            ]
-        )
-        return
-
-    if experiment == "sweep-delay":
-        table = sweep_delay(config.parameters["theta"], _grid(config), _experiment_settings(config))
-        if out_path:
-            write_csv(table, out_path)
-        values = table.column("fourfold")
-        _emit(
-            [
-                ("points", str(len(table))),
-                ("fourfold_min", _format_fixed(min(values))),
-                ("fourfold_max", _format_fixed(max(values))),
-            ]
-        )
-        return
-
-    if experiment == "sweep-phase":
-        thetas = [float(v) for v in np.linspace(0.0, 2.0 * math.pi, _param(config, "points"))]
-        table = sweep_phase(thetas, _param(config, "eta"), _experiment_settings(config))
-        if out_path:
-            write_csv(table, out_path)
-        two = fit_fringe(zip(table.x, table.column("twofold")))
-        four = fit_fringe(zip(table.x, table.column("fourfold")))
-        _emit(
-            [
-                ("phase_shift", _format_fixed(fringe_phase_shift(table))),
-                ("twofold_amplitude", _format_fixed(two.amplitude)),
-                ("fourfold_amplitude", _format_fixed(four.amplitude)),
-            ]
-        )
-        return
-
-    if experiment == "hom":
-        table = sweep_hom_delay(_grid(config), _experiment_settings(config), _param(config, "eta"))
-        if out_path:
-            write_csv(table, out_path)
-        values = table.column("fourfold")
-        _emit(
-            [
-                ("visibility", _format_fixed(dip_visibility(values))),
-                ("fourfold_min", _format_fixed(min(values))),
-                ("fourfold_max", _format_fixed(max(values))),
-            ]
-        )
-        return
-
-    raise ConfigValidationError("experiment", f"unknown experiment {experiment!r}")
+    table, summary = _EXPERIMENTS[config.experiment].run(config)
+    if "out_path" in config.parameters:
+        write_csv(table, config.parameters["out_path"])
+    print(" ".join(f"{k}={v if isinstance(v, str) else _format_fixed(v)}" for k, v in summary))
 
 
 def execute(argv: Sequence[str]) -> int:

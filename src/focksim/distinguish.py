@@ -29,7 +29,10 @@ def overlap_from_delay(delay_fs: float, tau_coh_fs: float = DEFAULT_TAU_COH_FS) 
         raise DomainError(f"delay must be finite, got {delay_fs}")
     if not (is_finite(tau_coh_fs) and tau_coh_fs > 0.0):
         raise DomainError(f"coherence time must be positive and finite, got {tau_coh_fs}")
-    return math.exp(-(delay_fs * delay_fs) / (2.0 * tau_coh_fs * tau_coh_fs))
+    denominator = 2.0 * tau_coh_fs * tau_coh_fs
+    if denominator == 0.0:
+        raise DomainError(f"coherence time {tau_coh_fs} is so small that 2 tau^2 underflows to 0")
+    return math.exp(-(delay_fs * delay_fs) / denominator)
 
 
 def extend_ancilla(registry: ModeRegistry, ancilla_mode: ModeLabel, eta: float) -> PureState:

@@ -78,7 +78,10 @@ def _permanent_rows(rows: list[list[complex]]) -> complex:
 
 def permanent(matrix) -> complex:
     """Permanent of a square complex matrix (n = 0 gives 1)."""
-    array = np.asarray(matrix, dtype=complex)
+    try:
+        array = np.asarray(matrix, dtype=complex)
+    except OverflowError as exc:  # an int too large for a float
+        raise DomainError("permanent requires finite matrix entries") from exc
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise NonSquareError(f"permanent requires a square matrix, got shape {array.shape}")
     if not np.isfinite(array).all():

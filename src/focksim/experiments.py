@@ -96,20 +96,20 @@ class SweepTable:
     """Sampled curves: strictly increasing x values plus named columns."""
 
     def __init__(self, x_name: str, x: Sequence[float], columns: Mapping[str, Sequence[float]]):
-        xs = tuple(float(value) for value in x)
+        xs = tuple(x)
         if not xs:
             raise EmptySweepError("a sweep table needs at least one row")
-        if not all(map(is_finite, xs)) or any(b <= a for a, b in zip(xs, xs[1:])):
+        if not all(map(is_finite, xs)) or any(float(b) <= float(a) for a, b in zip(xs, xs[1:])):
             raise DomainError("sweep x values must be finite and strictly increasing")
-        cols = {name: tuple(float(v) for v in values) for name, values in columns.items()}
+        cols = {name: tuple(values) for name, values in columns.items()}
         for name, values in cols.items():
             if len(values) != len(xs):
                 raise DomainError(f"column {name!r} has {len(values)} rows, expected {len(xs)}")
             if not all(map(is_finite, values)):
                 raise DomainError(f"column {name!r} holds a non-finite value")
         self.x_name = x_name
-        self.x = xs
-        self.columns = cols
+        self.x = tuple(map(float, xs))
+        self.columns = {name: tuple(map(float, values)) for name, values in cols.items()}
 
     def column(self, name: str) -> tuple[float, ...]:
         return self.columns[name]
@@ -130,6 +130,8 @@ class FringeFit:
 
 def input_phi_theta(theta: float) -> PureState:
     """Pair state (|1V>|1V> + e^{i theta} |1H>|1H>) / sqrt(2) on modes 1 and 2."""
+    if not is_finite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
     registry = _pair_registry()
     inv = 1.0 / math.sqrt(2.0)
     return PureState(
@@ -358,13 +360,13 @@ def fit_fringe(samples: Iterable[tuple[float, float]]) -> FringeFit:
     The model is linear in the basis {1, cos theta, sin theta}; A >= 0 is
     enforced by the choice of phi and phi lies in (-pi, pi].
     """
-    pairs = [(float(t), float(y)) for t, y in samples]
+    pairs = list(samples)
     if not all(is_finite(t) and is_finite(y) for t, y in pairs):
         raise DomainError("fringe samples must be finite")
     if len(pairs) < 4:
         raise DegenerateFitError(f"need at least 4 samples, got {len(pairs)}")
-    thetas = np.array([t for t, _ in pairs])
-    ys = np.array([y for _, y in pairs])
+    thetas = np.array([float(t) for t, _ in pairs])
+    ys = np.array([float(y) for _, y in pairs])
     distinct = np.unique(thetas)
     if distinct.size < 3:
         raise DegenerateFitError("need at least 3 distinct phases")
@@ -387,6 +389,8 @@ def fit_fringe(samples: Iterable[tuple[float, float]]) -> FringeFit:
 
 def visibility(fit: FringeFit) -> float:
     """Fringe contrast (max - min) / (max + min) of a fitted curve."""
+    if not (is_finite(fit.amplitude) and is_finite(fit.offset)):
+        raise DomainError("visibility undefined: amplitude and offset must be finite")
     denominator = fit.amplitude + 2.0 * fit.offset
     if not (is_finite(denominator) and denominator > 0.0):
         raise DomainError("visibility undefined: amplitude + 2*offset must be positive and finite")
@@ -395,11 +399,12 @@ def visibility(fit: FringeFit) -> float:
 
 def dip_visibility(values: Sequence[float]) -> float:
     """Suppression-dip contrast (baseline - minimum) / baseline of a sweep."""
-    data = [float(v) for v in values]
+    data = list(values)
     if not data:
         raise EmptySweepError("dip_visibility needs at least one value")
     if not all(map(is_finite, data)):
         raise DomainError("dip visibility undefined: values must be finite")
+    data = [float(v) for v in data]
     top = max(data)
     if top <= 0.0:
         raise DomainError("dip visibility undefined: all values are zero")

@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focksim.cli import RunConfig, _experiment_settings, execute, load_config, validate, write_csv
 from focksim.errors import ConfigParseError, ConfigValidationError, EmptySweepError
@@ -75,6 +81,22 @@ def test_load_config_range_checks(tmp_path):
         with pytest.raises(ConfigValidationError) as err:
             load_config(write_json(tmp_path, {"experiment": "hom", "points": bad}))
         assert err.value.key == "points"
+    # a degenerate delay window is rejected at load, not when the sweep runs
+    window = {"experiment": "hom", "range_fs": [5, 5]}
+    for extra in ({"points": 3}, {}):
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(write_json(tmp_path, {**window, **extra}))
+        assert err.value.key == "range_fs"
+    assert load_config(write_json(tmp_path, {**window, "points": 1})).parameters["points"] == 1
+    # transform holds n + m photons plus the ancilla; the closed form has no cap
+    for counts in ({"n": 9}, {"n": 4, "m": 4}, {"n": 8}):
+        config = {"experiment": "transform", "r": 0.5, **counts}
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(write_json(tmp_path, config))
+        assert err.value.key == "n"
+    for experiment, n, m in (("transform", 4, 3), ("ns-amplitude", 50, 0)):
+        config = {"experiment": experiment, "n": n, "m": m, "r": 0.5}
+        assert load_config(write_json(tmp_path, config)).parameters["n"] == n
     # a sweep grid is capped before np.linspace can exhaust memory
     for experiment, extra in (("hom", {}), ("sweep-delay", {"theta": 0.0}), ("sweep-phase", {})):
         config = {"experiment": experiment, "points": 100_000, **extra}
@@ -368,9 +390,57 @@ def test_execute_validation_failures_exit_two(tmp_path, capsys):
     # an int too large for a float used to exit 1 with OverflowError
     assert execute(["ns-amplitude", "--n", "1" + "0" * 400, "--r", "0.5"]) == 2
     assert "key 'n' must be finite" in capsys.readouterr().err
-    # 8 photons plus the ancilla exceed the photon cap: exit 2, not exit 1
-    assert execute(["transform", "--n", "8", "--r", "0.5"]) == 2
-    assert "more than 8 photons" in capsys.readouterr().err
+    # 8 photons plus the ancilla exceed the photon cap: exit 2, not exit 1,
+    # reported against key 'n' rather than an occupation tuple
+    for flags in (["--n", "8"], ["--n", "9"], ["--n", "4", "--m", "4"]):
+        assert execute(["transform", *flags, "--r", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "key 'n'" in err and "more than 8 photons" in err
+    # the closed form has no photon cap
+    assert execute(["ns-amplitude", "--n", "50", "--r", "0.5"]) == 0
+    capsys.readouterr()
+    # a one-point window cannot hold several sweep points
+    assert execute(["hom", "--from", "5", "--to", "5", "--points", "3"]) == 2
+    assert "key 'range_fs' must span an interval for points > 1" in capsys.readouterr().err
+
+
+def _execute_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = execute(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_execute_is_deterministic_over_random_sweeps(data):
+    experiment = data.draw(st.sampled_from(["sweep-delay", "sweep-phase", "hom"]), label="cmd")
+    delay = experiment != "sweep-phase"
+    points = data.draw(st.integers(1 if delay else 4, 7), label="points")
+    argv = [experiment, "--points", str(points)]
+    # fixed-point text: argparse would read "-1e-05" as a flag, not a number
+    real = st.floats(0.0, 1.0).map(lambda v: f"{v:.9f}")
+    optional = {"--r-v": real, "--r-h": real, "--background": real}
+    if experiment == "sweep-delay":
+        argv += ["--theta", f"{data.draw(st.floats(-10.0, 10.0), label='theta'):.9f}"]
+    else:
+        optional["--eta"] = real
+    if delay:
+        window = st.lists(st.integers(-500, 500), min_size=2, max_size=2, unique=True)
+        lo, hi = sorted(data.draw(window, label="window"))
+        argv += ["--from", str(lo), "--to", str(hi)]
+        optional["--tau-coh"] = st.integers(1, 500).map(str)
+    for flag, values in optional.items():
+        if data.draw(st.booleans(), label=flag):
+            argv += [flag, data.draw(values, label=flag)]
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [Path(directory, name) for name in ("first.csv", "second.csv")]
+        first, second = (_execute_captured([*argv, "--out", str(path)]) for path in paths)
+        assert first[0] != 1, first[2]
+        assert first == second
+        written = [path.read_bytes() if path.exists() else None for path in paths]
+        assert written[0] == written[1]
+        assert (written[0] is not None) == (first[0] == 0)
 
 
 def test_execute_internal_errors_exit_one(tmp_path, monkeypatch, capsys):

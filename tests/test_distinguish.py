@@ -13,6 +13,7 @@ from focksim import (
     apply_bs1,
     mode,
     overlap_from_delay,
+    sweep_delay,
     transform,
 )
 from focksim.errors import DomainError
@@ -41,6 +42,11 @@ def test_overlap_requires_positive_coherence_time():
     for delay, tau in ((math.nan, 100.0), (0.0, math.nan), (math.inf, 100.0), (0.0, math.inf)):
         with pytest.raises(DomainError):
             overlap_from_delay(delay, tau)
+    # 2 tau^2 underflows to 0 here; this used to raise ZeroDivisionError
+    with pytest.raises(DomainError):
+        overlap_from_delay(0.0, 1e-200)
+    with pytest.raises(DomainError):
+        sweep_delay(0.0, [0.0], ExperimentConfig(tau_coh_fs=1e-200))
 
 
 def test_extend_ancilla_limits():

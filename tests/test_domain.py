@@ -18,8 +18,8 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 
 #: Values every entry point of a kind must reject, tried on every example.
 SPECIAL = {
-    "real": NON_FINITE,
-    "unit": NON_FINITE,
+    "real": (*NON_FINITE, 10**400, -(10**400)),
+    "unit": (*NON_FINITE, 10**400, -(10**400)),
     "count": (*NON_FINITE, 0.5, -1, 10**400),
 }
 

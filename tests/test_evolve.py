@@ -278,6 +278,25 @@ def test_herald_group_conditions_validate():
             HeraldSpec([([mode(7, "H")], Exactly(bad))])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_herald_outcomes_are_exhaustive(data):
+    # every component meets exactly one Exactly(k) of a group, and exactly one
+    # of THRESHOLD_CLICK and ZERO, so each set of outcomes sums to the norm
+    reg = ModeRegistry([mode(s, p) for s in range(data.draw(st.integers(1, 2))) for p in "HV"])
+    occupation = st.tuples(*[st.integers(0, 2)] * reg.size)
+    amplitude = st.builds(complex, st.floats(0.1, 1.0), st.floats(-1.0, 1.0))
+    components = st.dictionaries(occupation, amplitude, min_size=1, max_size=6)
+    state = PureState(reg, data.draw(components, label="state"))
+    group = data.draw(st.lists(st.sampled_from(reg.labels), min_size=1, unique=True), label="group")
+    norm = state.norm_squared()
+    most = max(sum(occ) for occ, _ in state.items())
+    exact = [herald(state, HeraldSpec([(group, Exactly(k))])).probability for k in range(most + 1)]
+    assert abs(math.fsum(exact) - norm) <= 1e-12
+    click = [herald(state, HeraldSpec([(group, c)])).probability for c in (THRESHOLD_CLICK, ZERO)]
+    assert abs(math.fsum(click) - norm) <= 1e-12
+
+
 # ------------------------------------------------------------- closed forms
 
 def test_ns_amplitude_examples():
