@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -308,8 +309,17 @@ def write_csv(table: SweepTable, path: str) -> None:
         raise
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse's negative-number pattern (private, the same in Python 3.10 to 3.13)
+    # reads "-1e-3" as a flag; this one takes an exponent.  Subparsers are built
+    # from type(parser), so they inherit it.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="focksim",
         description="Heralded sign-shift interferometer simulator (angles in radians, delays in femtoseconds)",
     )

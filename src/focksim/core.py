@@ -231,30 +231,27 @@ def fidelity(a: PureState, b: PureState) -> float:
     return abs(inner) ** 2
 
 
-def relabel(state: PureState, mapping: Mapping[ModeLabel, ModeLabel]) -> PureState:
-    """Rename modes; labels absent from the mapping are kept unchanged."""
-    old_labels = state.registry.labels
-    new_labels = [mapping.get(label, label) for label in old_labels]
-    target = ModeRegistry(new_labels)
+def _remap(state: PureState, labels: Iterable[ModeLabel], registry: ModeRegistry) -> PureState:
+    """Move mode i's count to the position of labels[i] in `registry`, vacuum elsewhere."""
+    positions = [registry.index(label) for label in labels]
     moved: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.items():
-        new_occ = [0] * target.size
-        for i, count in enumerate(occ):
-            new_occ[target.index(new_labels[i])] = count
-        moved[tuple(new_occ)] = amp
-    return PureState(target, moved)
-
-
-def expand_onto(state: PureState, registry: ModeRegistry) -> PureState:
-    """Re-express a state on a larger registry, vacuum on the new modes."""
-    positions = [registry.index(label) for label in state.registry.labels]
-    expanded: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.items():
         new_occ = [0] * registry.size
         for pos, count in zip(positions, occ):
             new_occ[pos] = count
-        expanded[tuple(new_occ)] = amp
-    return PureState(registry, expanded)
+        moved[tuple(new_occ)] = amp
+    return PureState(registry, moved)
+
+
+def relabel(state: PureState, mapping: Mapping[ModeLabel, ModeLabel]) -> PureState:
+    """Rename modes; labels absent from the mapping are kept unchanged."""
+    new_labels = [mapping.get(label, label) for label in state.registry.labels]
+    return _remap(state, new_labels, ModeRegistry(new_labels))
+
+
+def expand_onto(state: PureState, registry: ModeRegistry) -> PureState:
+    """Re-express a state on a larger registry, vacuum on the new modes."""
+    return _remap(state, state.registry.labels, registry)
 
 
 def ket_string(state: PureState, precision: int = 6) -> str:

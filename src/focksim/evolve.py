@@ -188,13 +188,10 @@ class Exactly(NamedTuple):
 
 class _Rule(Enum):
     THRESHOLD_CLICK = "threshold-click"
-    ANY = "any"
 
 
 #: Non-number-resolving detector: at least one photon in the group.
 THRESHOLD_CLICK = _Rule.THRESHOLD_CLICK
-#: Unmonitored modes: no constraint, content stays in the conditional state.
-ANY = _Rule.ANY
 #: No photons in the group.
 ZERO = Exactly(0)
 
@@ -204,10 +201,10 @@ Condition = Exactly | _Rule
 class HeraldSpec:
     """Detection pattern: disjoint mode groups, one condition per group.
 
-    Registered modes not mentioned in any group are implicitly
-    unconstrained (ANY).  Conditions count photons summed over the whole
-    group, so grouping a detector's temporal copies models a detector that
-    cannot resolve arrival time.
+    Every grouped mode is measured.  Modes in no group are unmonitored (there
+    is no "any" condition): their content stays in the conditional state.
+    Conditions count photons summed over the whole group, so grouping a
+    detector's temporal copies models a detector that cannot resolve time.
     """
 
     def __init__(self, groups: Iterable[tuple[Iterable[ModeLabel], Condition]]):
@@ -230,13 +227,6 @@ class HeraldSpec:
     @property
     def groups(self) -> tuple[tuple[frozenset[ModeLabel], Condition], ...]:
         return self._groups
-
-    def measured_labels(self) -> frozenset[ModeLabel]:
-        out: set[ModeLabel] = set()
-        for group, condition in self._groups:
-            if condition is not ANY:
-                out |= group
-        return frozenset(out)
 
 
 class HeraldResult:
@@ -267,9 +257,7 @@ class HeraldResult:
 def _group_satisfied(count: int, condition: Condition) -> bool:
     if isinstance(condition, Exactly):
         return count == condition.count
-    if condition is THRESHOLD_CLICK:
-        return count >= 1
-    return True
+    return count >= 1  # THRESHOLD_CLICK
 
 
 def herald(state: PureState, spec: HeraldSpec) -> HeraldResult:
@@ -279,18 +267,17 @@ def herald(state: PureState, spec: HeraldSpec) -> HeraldResult:
     patterns contribute probability additively.
     """
     registry = state.registry
-    for group, _ in spec.groups:
-        for label in group:
-            if label not in registry:
-                raise HeraldSpecError(f"herald references unregistered mode {label}")
-    measured_reg = ModeRegistry(spec.measured_labels())
-    unmeasured_reg = ModeRegistry(label for label in registry.labels if label not in measured_reg)
+    missing = [label for group, _ in spec.groups for label in group if label not in registry]
+    if missing:
+        raise HeraldSpecError(f"herald references unregistered mode {missing[0]}")
     group_indices = [
         ([registry.index(label) for label in group], condition)
         for group, condition in spec.groups
     ]
-    measured_pos = [registry.index(label) for label in measured_reg.labels]
-    unmeasured_pos = [registry.index(label) for label in unmeasured_reg.labels]
+    # registry indices follow canonical label order, so patterns do too
+    measured_pos = sorted(i for indices, _ in group_indices for i in indices)
+    unmeasured_pos = [i for i in range(registry.size) if i not in measured_pos]
+    unmeasured_reg = ModeRegistry(registry.labels[i] for i in unmeasured_pos)
 
     collected: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
     for occ, amp in state.items():

@@ -58,9 +58,10 @@ from .errors import (
     check_unit_interval,
     is_finite,
 )
-from .evolve import ANY, Exactly, HeraldSpec, ZERO, herald, transform
+from .evolve import Exactly, HeraldSpec, ZERO, herald, transform
 
 PAIR_IN = (1, 2)
+_FIRST, _SECOND = PAIR_IN  # apply_bs1 bunches the pair on the first port's side
 MODE3_SPATIAL = 3
 
 
@@ -137,8 +138,8 @@ def input_phi_theta(theta: float) -> PureState:
     return PureState(
         registry,
         {
-            registry.occupation({mode(1, V): 1, mode(2, V): 1}): inv,
-            registry.occupation({mode(1, H): 1, mode(2, H): 1}): inv * cmath.exp(1j * theta),
+            registry.occupation({mode(_FIRST, V): 1, mode(_SECOND, V): 1}): inv,
+            registry.occupation({mode(_FIRST, H): 1, mode(_SECOND, H): 1}): inv * cmath.exp(1j * theta),
         },
     )
 
@@ -150,8 +151,8 @@ def input_psi_plus() -> PureState:
     return PureState(
         registry,
         {
-            registry.occupation({mode(1, V): 1, mode(2, H): 1}): inv,
-            registry.occupation({mode(1, H): 1, mode(2, V): 1}): inv,
+            registry.occupation({mode(_FIRST, V): 1, mode(_SECOND, H): 1}): inv,
+            registry.occupation({mode(_FIRST, H): 1, mode(_SECOND, V): 1}): inv,
         },
     )
 
@@ -174,17 +175,17 @@ def apply_bs1(state: PureState) -> tuple[PureState, float]:
             raise DomainError("the pair input must hold exactly two photons")
     splitter = embed_into(
         dual_pol_beam_splitter(0.5, 0.5),
-        [mode(1, H), mode(2, H), mode(1, V), mode(2, V)],
+        [mode(_FIRST, H), mode(_SECOND, H), mode(_FIRST, V), mode(_SECOND, V)],
         registry,
     )
     evolved = transform(splitter, state)
-    result = herald(evolved, HeraldSpec([([mode(2, H), mode(2, V)], ZERO)]))
+    result = herald(evolved, HeraldSpec([([mode(_SECOND, H), mode(_SECOND, V)], ZERO)]))
     if result.probability == 0.0 or not result.branches:
         raise ZeroStateError("no component has both photons in mode 3")
     conditional, _ = normalize(result.conditional_state)
     mode3 = relabel(
         canonical_phase(conditional),
-        {mode(1, H): mode(MODE3_SPATIAL, H), mode(1, V): mode(MODE3_SPATIAL, V)},
+        {mode(_FIRST, H): mode(MODE3_SPATIAL, H), mode(_FIRST, V): mode(MODE3_SPATIAL, V)},
     )
     return mode3, result.probability
 
@@ -222,18 +223,24 @@ def _temporal_group(registry: ModeRegistry, spatial: int, pol: str):
     return [label for label in registry.labels if label.spatial == spatial and label.pol == pol]
 
 
+def _detector_pair(registry: ModeRegistry) -> list:
+    """Detector A (V) and detector B (H) each see exactly one photon over all bins."""
+    return [
+        (_temporal_group(registry, DETECTOR_A_SPATIAL, V), Exactly(1)),
+        (_temporal_group(registry, DETECTOR_B_SPATIAL, H), Exactly(1)),
+    ]
+
+
 def fourfold_herald(registry: ModeRegistry) -> HeraldSpec:
     """Fourfold coincidence: herald H, detector A, detector B see one photon each.
 
-    Photon counts are aggregated over temporal bins, herald-side V photons
-    are absorbed without a click, and nothing may remain on the analyzer.
+    Photon counts are aggregated over temporal bins, herald-side V modes
+    are unmonitored, and nothing may remain on the analyzer.
     """
     return HeraldSpec(
         [
             (_temporal_group(registry, HERALD_SPATIAL, H), Exactly(1)),
-            (_temporal_group(registry, DETECTOR_A_SPATIAL, V), Exactly(1)),
-            (_temporal_group(registry, DETECTOR_B_SPATIAL, H), Exactly(1)),
-            (_temporal_group(registry, HERALD_SPATIAL, V), ANY),
+            *_detector_pair(registry),
             (
                 _temporal_group(registry, ANALYZER_SPATIAL, H)
                 + _temporal_group(registry, ANALYZER_SPATIAL, V),
@@ -245,12 +252,7 @@ def fourfold_herald(registry: ModeRegistry) -> HeraldSpec:
 
 def twofold_herald(registry: ModeRegistry) -> HeraldSpec:
     """Pair coincidence between detector paths A and B, everything else free."""
-    return HeraldSpec(
-        [
-            (_temporal_group(registry, DETECTOR_A_SPATIAL, V), Exactly(1)),
-            (_temporal_group(registry, DETECTOR_B_SPATIAL, H), Exactly(1)),
-        ]
-    )
+    return HeraldSpec(_detector_pair(registry))
 
 
 def _place_signal(mode3_state: PureState, registry: ModeRegistry) -> PureState:

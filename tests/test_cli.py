@@ -34,10 +34,10 @@ def test_load_config_valid(tmp_path):
 
 
 def test_load_config_unknown_experiment(tmp_path):
-    path = write_json(tmp_path, {"experiment": "warp"})
-    with pytest.raises(ConfigValidationError) as err:
-        load_config(path)
-    assert err.value.key == "experiment"
+    for payload in ({"experiment": "warp"}, {"experiment": 3}, {"points": 25}):
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(write_json(tmp_path, payload))
+        assert err.value.key == "experiment"
 
 
 def test_load_config_missing_required_key(tmp_path):
@@ -45,6 +45,9 @@ def test_load_config_missing_required_key(tmp_path):
     with pytest.raises(ConfigValidationError) as err:
         load_config(path)
     assert err.value.key == "r"
+    with pytest.raises(ConfigValidationError) as err:
+        load_config(write_json(tmp_path, {"experiment": "sweep-delay", "points": 3}))
+    assert err.value.key == "theta"
 
 
 def test_load_config_unknown_key(tmp_path):
@@ -81,6 +84,14 @@ def test_load_config_range_checks(tmp_path):
         with pytest.raises(ConfigValidationError) as err:
             load_config(write_json(tmp_path, {"experiment": "hom", "points": bad}))
         assert err.value.key == "points"
+    # wrong JSON types are rejected against the key that holds them
+    wrong_types = [("points", v) for v in ("25", True, 2.5)]
+    wrong_types += [("out_path", v) for v in ("", 5)]
+    wrong_types += [("range_fs", v) for v in ([1], [True, 2])]
+    for key, bad in wrong_types:
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(write_json(tmp_path, {"experiment": "hom", key: bad}))
+        assert err.value.key == key
     # a degenerate delay window is rejected at load, not when the sweep runs
     window = {"experiment": "hom", "range_fs": [5, 5]}
     for extra in ({"points": 3}, {}):
@@ -404,6 +415,36 @@ def test_execute_validation_failures_exit_two(tmp_path, capsys):
     assert "key 'range_fs' must span an interval for points > 1" in capsys.readouterr().err
 
 
+def test_execute_hom_with_overflowing_squares(capsys):
+    # delay^2 and 2 tau^2 both overflow here; this used to exit 2 with a NaN overlap
+    argv = ["hom", "--tau-coh", "1e200", "--from", "1e200", "--to", "1e200", "--points", "1"]
+    assert execute(argv) == 0
+    expected = "visibility=0.000000000 fourfold_min=0.158030140 fourfold_max=0.158030140\n"
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "spaced,joined",
+    [
+        (["--theta", "-1e-3"], ["--theta=-1e-3"]),
+        (["--theta", "0.5", "--from", "-3E+2"], ["--theta", "0.5", "--from=-3E+2"]),
+        (["--theta", "-.5"], ["--theta=-.5"]),
+    ],
+    ids=["exponent", "signed-exponent", "leading-dot"],
+)
+def test_negative_numbers_parse_as_values(tmp_path, spaced, joined):
+    # argparse used to read "-1e-3" and "-3E+2" as flags: exit 2, "expected one argument"
+    results = []
+    for name, flags in (("spaced.csv", spaced), ("joined.csv", joined)):
+        out = tmp_path / name
+        code, stdout, stderr = _execute_captured(
+            ["sweep-delay", *flags, "--points", "3", "--out", str(out)]
+        )
+        assert code == 0, stderr
+        results.append((stdout, stderr, out.read_bytes()))
+    assert results[0] == results[1]
+
+
 def _execute_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -418,11 +459,11 @@ def test_execute_is_deterministic_over_random_sweeps(data):
     delay = experiment != "sweep-phase"
     points = data.draw(st.integers(1 if delay else 4, 7), label="points")
     argv = [experiment, "--points", str(points)]
-    # fixed-point text: argparse would read "-1e-05" as a flag, not a number
-    real = st.floats(0.0, 1.0).map(lambda v: f"{v:.9f}")
+    # repr may use exponent notation, as in "-1e-05", which must parse as a number
+    real = st.floats(0.0, 1.0).map(repr)
     optional = {"--r-v": real, "--r-h": real, "--background": real}
     if experiment == "sweep-delay":
-        argv += ["--theta", f"{data.draw(st.floats(-10.0, 10.0), label='theta'):.9f}"]
+        argv += ["--theta", repr(data.draw(st.floats(-10.0, 10.0), label="theta"))]
     else:
         optional["--eta"] = real
     if delay:

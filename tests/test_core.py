@@ -1,14 +1,19 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focksim import (
+    ZERO,
+    HeraldSpec,
     ModeRegistry,
     PureState,
     basis_state,
     canonical_phase,
     expand_onto,
     fidelity,
+    herald,
     mode,
     normalize,
     relabel,
@@ -30,6 +35,17 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def pair_registry():
     return ModeRegistry([mode(3, "H"), mode(3, "V")])
+
+
+#: Labels the property tests draw registries from: three paths, two bins.
+LABELS = [mode(s, p, t) for s in (1, 3, 7) for p in "HV" for t in (0, 1)]
+
+
+def random_state(data, registry):
+    occupation = st.tuples(*[st.integers(0, 2)] * registry.size)
+    amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+    components = st.dictionaries(occupation, amplitude, min_size=1, max_size=6)
+    return PureState(registry, data.draw(components, label="state"))
 
 
 def test_registry_canonical_order():
@@ -181,6 +197,15 @@ def test_tensor_product_associative():
     assert abs(left.norm() - a.norm() * b.norm() * c.norm()) < 1e-12
 
 
+def test_states_on_different_registries_do_not_mix():
+    a = basis_state(pair_registry(), {mode(3, "H"): 1})
+    b = basis_state(ModeRegistry([mode(5, "H"), mode(5, "V")]), {mode(5, "H"): 1})
+    with pytest.raises(DimensionMismatchError):
+        tensor_product(a, b)
+    with pytest.raises(DimensionMismatchError):
+        fidelity(a, b)
+
+
 def test_fidelity_examples():
     reg = pair_registry()
     psi = PureState(reg, {(0, 2): INV_SQRT2, (2, 0): INV_SQRT2})
@@ -212,6 +237,37 @@ def test_relabel_round_trip_preserves_norm():
     assert back.support() == state.support()
     for occ, amp in state.items():
         assert back.amplitude(occ) == amp
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabel_round_trip_over_random_maps(data):
+    labels = data.draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=6, unique=True))
+    state = random_state(data, ModeRegistry(labels))
+    # a random one-to-one renaming: a permutation of the labels or new ones
+    targets = data.draw(
+        st.lists(st.sampled_from(LABELS), min_size=len(labels), max_size=len(labels), unique=True)
+    )
+    forward = dict(zip(labels, targets))
+    moved = relabel(state, forward)
+    for occ, amp in state.items():
+        assert moved.amplitude(dict(zip(map(forward.get, state.registry.labels), occ))) == amp
+    back = relabel(moved, {new: old for old, new in forward.items()})
+    assert back.registry == state.registry
+    assert dict(back.items()) == dict(state.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_expand_onto_then_vacuum_herald_round_trip(data):
+    labels = data.draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=8, unique=True))
+    kept = data.draw(st.integers(1, len(labels) - 1), label="kept")
+    small, big = ModeRegistry(labels[:kept]), ModeRegistry(labels)
+    state = random_state(data, small)
+    result = herald(expand_onto(state, big), HeraldSpec([(labels[kept:], ZERO)]))
+    assert result.probability == state.norm_squared()
+    assert result.conditional_state.registry == small
+    assert dict(result.conditional_state.items()) == dict(state.items())
 
 
 def test_expand_onto_keeps_amplitudes():

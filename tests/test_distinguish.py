@@ -49,6 +49,16 @@ def test_overlap_requires_positive_coherence_time():
         sweep_delay(0.0, [0.0], ExperimentConfig(tau_coh_fs=1e-200))
 
 
+def test_overlap_survives_overflowing_squares():
+    # delay^2 and 2 tau^2 both overflow to inf here; this used to give NaN
+    for delay, tau in ((1e200, 1e200), (1e155, 1e155), (-1e200, 1e200)):
+        assert overlap_from_delay(delay, tau) == math.exp(-0.5)
+    assert overlap_from_delay(1.7e308, 1e154) == 0.0
+    # an int too large to square in floating point used to raise OverflowError
+    assert overlap_from_delay(10**200, 1.0) == 0.0
+    assert overlap_from_delay(10**200, 10**200) == math.exp(-0.5)
+
+
 def test_extend_ancilla_limits():
     reg = analysis_registry(delayed=True)
     principal = reg.occupation({mode(8, "H", 0): 1})

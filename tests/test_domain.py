@@ -21,6 +21,8 @@ SPECIAL = {
     "real": (*NON_FINITE, 10**400, -(10**400)),
     "unit": (*NON_FINITE, 10**400, -(10**400)),
     "count": (*NON_FINITE, 0.5, -1, 10**400),
+    "positive": (*NON_FINITE, 10**400, -(10**400), 0.0, -1.0),
+    "non_negative": (*NON_FINITE, 10**400, -(10**400), -0.1),
 }
 
 #: Generated bad values of each kind.
@@ -35,6 +37,10 @@ GENERATED = {
         st.integers(max_value=-1),
         st.integers(min_value=2**1024),
         st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v < 0 or v % 1),
+    ),
+    "positive": st.one_of(st.sampled_from(NON_FINITE), st.floats(max_value=0.0)),
+    "non_negative": st.one_of(
+        st.sampled_from(NON_FINITE), st.floats(allow_nan=False).filter(lambda v: v < 0.0)
     ),
 }
 
@@ -52,8 +58,8 @@ ENTRY_POINTS = {
     "ExperimentConfig.r_v": ("unit", lambda v: fs.ExperimentConfig(r_v=v)),
     "ExperimentConfig.r_h": ("unit", lambda v: fs.ExperimentConfig(r_h=v)),
     "ExperimentConfig.hwp_rotation": ("real", lambda v: fs.ExperimentConfig(hwp_rotation=v)),
-    "ExperimentConfig.tau_coh_fs": ("real", lambda v: fs.ExperimentConfig(tau_coh_fs=v)),
-    "ExperimentConfig.background": ("real", lambda v: fs.ExperimentConfig(background=v)),
+    "ExperimentConfig.tau_coh_fs": ("positive", lambda v: fs.ExperimentConfig(tau_coh_fs=v)),
+    "ExperimentConfig.background": ("non_negative", lambda v: fs.ExperimentConfig(background=v)),
     "mode.spatial": ("count", lambda v: fs.mode(v, "H")),
     "mode.temporal": ("count", lambda v: fs.mode(1, "H", v)),
     "ModeRegistry.occupation": ("count", lambda v: REGISTRY.occupation({fs.mode(3, "V"): v})),
@@ -72,7 +78,7 @@ ENTRY_POINTS = {
     "ns_pipeline.m": ("count", lambda v: fs.ns_pipeline(v, 1, 0.5, 0.5)),
     "ns_pipeline.r_h": ("unit", lambda v: fs.ns_pipeline(0, 1, 0.5, v)),
     "overlap_from_delay.delay": ("real", lambda v: fs.overlap_from_delay(v)),
-    "overlap_from_delay.tau": ("real", lambda v: fs.overlap_from_delay(0.0, v)),
+    "overlap_from_delay.tau": ("positive", lambda v: fs.overlap_from_delay(0.0, v)),
     "extend_ancilla": ("unit", lambda v: fs.extend_ancilla(ANALYSIS, fs.mode(8, "H"), v)),
     "input_phi_theta": ("real", lambda v: fs.input_phi_theta(v)),
     "sweep_hom_delay.eta_max": ("unit", lambda v: fs.sweep_hom_delay([0.0], CFG, v)),

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focksim import (
+    ExperimentConfig,
     ModeRegistry,
     ModeUnitary,
+    analysis_circuit,
+    analysis_registry,
     beam_splitter,
     compose,
     dual_pol_beam_splitter,
@@ -14,6 +19,7 @@ from focksim import (
     half_wave_plate,
     mode,
     pbs_router,
+    sign_shift_splitter,
 )
 from focksim.errors import (
     DimensionMismatchError,
@@ -215,6 +221,31 @@ def test_random_constructor_unitarity():
         assert unitarity_defect(beam_splitter(r)) < 1e-10
         assert unitarity_defect(dual_pol_beam_splitter(r, float(rng.uniform()))) < 1e-10
         assert unitarity_defect(half_wave_plate(float(rng.uniform(-360, 360)))) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r_v=st.floats(0.0, 1.0),
+    r_h=st.floats(0.0, 1.0),
+    rotation=st.floats(allow_nan=False, allow_infinity=False),
+    delayed=st.booleans(),
+)
+def test_every_element_is_unitary_over_random_parameters(r_v, r_h, rotation, delayed):
+    # ModeUnitary refuses a matrix more than UNITARITY_TOL from unitary, so
+    # building each element is itself the check; the defect is asserted too
+    registry = analysis_registry(delayed)
+    cfg = ExperimentConfig(r_v=r_v, r_h=r_h, hwp_rotation=rotation)
+    elements = [
+        beam_splitter(r_v),
+        dual_pol_beam_splitter(r_v, r_h),
+        half_wave_plate(rotation),
+        sign_shift_splitter(registry, r_v, r_h),
+        pbs_router(registry),
+        embed_per_bin(half_wave_plate(rotation), [(7, "H"), (7, "V")], registry),
+        analysis_circuit(registry, cfg),
+    ]
+    for element in elements:
+        assert unitarity_defect(element) < 1e-10
 
 
 def test_mode_unitary_rejects_non_unitary():

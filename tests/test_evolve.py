@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focksim import (
-    ANY,
     Exactly,
+    ExperimentConfig,
     HeraldSpec,
     ModeRegistry,
     ModeUnitary,
     PureState,
     THRESHOLD_CLICK,
     ZERO,
+    analysis_circuit,
+    analysis_registry,
     basis_state,
     beam_splitter,
     compose,
@@ -155,6 +157,26 @@ def test_transform_conserves_probability():
         assert out.norm_squared() == pytest.approx(state.norm_squared(), abs=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_transform_through_analysis_circuit_keeps_norm(data):
+    unit = st.floats(0.0, 1.0)
+    cfg = ExperimentConfig(
+        r_v=data.draw(unit, label="r_v"),
+        r_h=data.draw(unit, label="r_h"),
+        hwp_rotation=data.draw(st.floats(-720.0, 720.0), label="rotation"),
+        tau_coh_fs=data.draw(st.floats(1e-3, 1e6), label="tau"),
+        background=data.draw(st.floats(0.0, 1.0), label="background"),
+    )
+    registry = analysis_registry(delayed=data.draw(st.booleans(), label="delayed"))
+    targets = st.sampled_from(occupations(3, registry.size))
+    amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+    components = st.dictionaries(targets, amplitude, min_size=1, max_size=4)
+    state = PureState(registry, data.draw(components, label="state"))
+    evolved = transform(analysis_circuit(registry, cfg), state)
+    assert abs(evolved.norm_squared() - state.norm_squared()) <= 1e-9
+
+
 def test_transform_permutation_covariance():
     rng = np.random.default_rng(41)
     dim = 4
@@ -269,7 +291,11 @@ def test_herald_group_conditions_validate():
     with pytest.raises(HeraldSpecError):
         herald(state, HeraldSpec([([mode(1, "H")], ZERO)]))
     with pytest.raises(HeraldSpecError):
-        HeraldSpec([([mode(7, "H")], ZERO), ([mode(7, "H")], ANY)])
+        HeraldSpec([([mode(7, "H")], ZERO), ([mode(7, "H")], THRESHOLD_CLICK)])
+    with pytest.raises(HeraldSpecError, match="non-empty"):
+        HeraldSpec([([], ZERO)])
+    with pytest.raises(HeraldSpecError, match="unknown herald condition"):
+        HeraldSpec([([mode(1, "H")], "click")])
     with pytest.raises(DomainError):
         HeraldSpec([([mode(7, "H")], Exactly(-1))])
     # these used to herald with probability 0 instead of failing

@@ -24,7 +24,7 @@ from focksim import (
     visibility,
 )
 from focksim import experiments
-from focksim.errors import DegenerateFitError, DomainError, EmptySweepError
+from focksim.errors import DegenerateFitError, DomainError, EmptySweepError, ZeroStateError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 CFG = ExperimentConfig()
@@ -92,6 +92,16 @@ def test_apply_bs1_rejects_wrong_photon_number():
     reg = ModeRegistry([mode(s, p) for s in (1, 2) for p in "HV"])
     with pytest.raises(DomainError):
         apply_bs1(basis_state(reg, {mode(1, "H"): 1}))
+
+
+def test_apply_bs1_rejects_pair_that_never_bunches():
+    from focksim import ModeRegistry, PureState
+
+    # the two components' mode-3 amplitudes cancel after the balanced splitter
+    reg = ModeRegistry([mode(s, p) for s in (1, 2) for p in "HV"])
+    pair = PureState(reg, {(2, 0, 0, 0): math.sqrt(2 / 3), (1, 0, 1, 0): math.sqrt(1 / 3)})
+    with pytest.raises(ZeroStateError):
+        apply_bs1(pair)
 
 
 # ------------------------------------------------------------- coincidences
@@ -164,8 +174,12 @@ def test_sweep_delay_symmetry():
 def test_sweep_delay_validation():
     with pytest.raises(EmptySweepError):
         sweep_delay(0.0, [], CFG)
+    with pytest.raises(EmptySweepError):
+        sweep_phase([], 1.0, CFG)
     with pytest.raises(DomainError):
         SweepTable("delay_fs", [0.0, 0.0], {"fourfold": [0.1, 0.1]})
+    with pytest.raises(DomainError, match="has 1 rows, expected 2"):
+        SweepTable("x", [0.0, 1.0], {"y": [1.0]})
     # NaN passed the strictly-increasing test, which is false for NaN
     bad_tables = (([0.0, math.nan, 2.0], [0.1] * 3), ([0.0, math.inf], [0.1] * 2), ([0.0], [math.nan]))
     for xs, ys in bad_tables:
@@ -253,6 +267,9 @@ def test_fit_fringe_rejects_degenerate_inputs():
         fit_fringe([(0.0, 1.0), (0.0, 1.0), (4.0, 1.0), (4.0, 1.0)])
     with pytest.raises(DegenerateFitError):
         fit_fringe([(0.0, 1.0), (1.0, 0.5), (2.0, 0.2), (3.0, 0.1)])
+    # four distinct phases that are one point on the circle
+    with pytest.raises(DegenerateFitError, match="rank deficient"):
+        fit_fringe([(2.0 * math.pi * k, 1.0) for k in range(4)])
     # one NaN sample used to turn the whole fit into NaN
     samples = model_samples(1.0, 0.0, 0.0)
     for bad in ((math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5)):
@@ -279,6 +296,10 @@ def test_dip_visibility_calibrates_overlap():
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             dip_visibility([1.0, bad, 0.5])
+    with pytest.raises(EmptySweepError):
+        dip_visibility([])
+    with pytest.raises(DomainError, match="all values are zero"):
+        dip_visibility([0.0, 0.0])
 
 
 # --------------------------------------------------------------- phase shift
