@@ -39,8 +39,10 @@ GENERATED = {
         st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v < 0 or v % 1),
     ),
     "positive": st.one_of(st.sampled_from(NON_FINITE), st.floats(max_value=0.0)),
+    # -math.ulp(0.0) is the largest negative float; a `v < 0.0` filter would
+    # still let -0.0 through, which equals 0.0 and is a valid value.
     "non_negative": st.one_of(
-        st.sampled_from(NON_FINITE), st.floats(allow_nan=False).filter(lambda v: v < 0.0)
+        st.sampled_from(NON_FINITE), st.floats(allow_nan=False, max_value=-math.ulp(0.0))
     ),
 }
 
