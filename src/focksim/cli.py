@@ -2,15 +2,15 @@
 
 Subcommands: ns-amplitude, transform, sweep-delay, sweep-phase, hom.
 Angles on the command line are radians; delays and coherence times are
-femtoseconds.  Values may come from a JSON config object (--config) and any
-flag overrides the matching config key.  `_KEYS` describes every config key
-once (flag, kind, range, default, help) and `_EXPERIMENTS` holds, per
-subcommand, the keys it accepts and the runner that computes its result;
-the parser, the flag merge, the validator and the dispatch are all read
-from these two tables, so a subcommand offers only its own flags.
-`validate` checks every rule a run must pass, so a runner is handed only
-valid input.  Keys named after an `ExperimentConfig` field take their
-defaults from it.
+femtoseconds.  Values may come from a JSON config object (--config); flags
+override its keys, and `validate` checks the merged keys once.  `_KEYS`
+describes every config key once (flag, kind, range, default, help) and
+`_EXPERIMENTS` holds, per subcommand, the keys it accepts and the runner
+that computes its result; the parser, the flag merge, the validator and the
+dispatch all read these two tables, so a subcommand offers only its own
+flags.  `validate` sees only the input, so one rejection is left to a
+runner: `hom`'s dip visibility is undefined when every fourfold value is 0.
+Keys named after an `ExperimentConfig` field take their defaults from it.
 Exit codes: 0 success, 2 for configuration or validation problems, 1 for
 internal errors.
 """
@@ -34,7 +34,6 @@ from .errors import (
     ConfigParseError,
     ConfigValidationError,
     DomainError,
-    EmptySweepError,
     is_finite,
 )
 from .evolve import PHOTON_CAP, ns_amplitude_pol, ns_pipeline
@@ -240,12 +239,14 @@ def validate(config: RunConfig) -> RunConfig:
     checked = RunConfig(
         experiment, {key: _check(experiment, key, value) for key, value in params.items()}
     )
-    if "range_fs" in accepted:  # a sweep table's delays must strictly increase
+    if "range_fs" in accepted:  # the delay grid must pass the sweep table's axis rule
         lo, hi = _param(checked, "range_fs")
-        if lo == hi and _param(checked, "points") > 1:
-            raise ConfigValidationError(
-                "range_fs", "key 'range_fs' must span an interval for points > 1"
-            )
+        try:  # an overflowing width stands in for the non-finite grid np.linspace would make
+            SweepTable("delay_fs", _grid(checked) if is_finite(hi - lo) else [hi - lo], {})
+        except DomainError:
+            points = _param(checked, "points")
+            message = f"key 'range_fs' must hold {points} distinct finite delays, got [{lo}, {hi}]"
+            raise ConfigValidationError("range_fs", message) from None
     # the pipeline adds one ancilla photon; ns-amplitude is a closed form with no cap
     if experiment == "transform":
         photons = checked.parameters["n"] + _param(checked, "m") + 1
@@ -257,6 +258,10 @@ def validate(config: RunConfig) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     """Read and validate a JSON config file."""
+    return validate(_read_config(path))
+
+
+def _read_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -270,7 +275,7 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(experiment, str):
         raise ConfigValidationError("experiment", "key 'experiment' must be a string")
     parameters = {key: value for key, value in raw.items() if key != "experiment"}
-    return validate(RunConfig(experiment, parameters))
+    return RunConfig(experiment, parameters)
 
 
 def _format_sig(value: float) -> str:
@@ -289,8 +294,6 @@ def write_csv(table: SweepTable, path: str) -> None:
     nine significant digits, lines end with LF, and the file is staged in a
     temporary sibling and renamed into place only when complete.
     """
-    if len(table) == 0:
-        raise EmptySweepError("refusing to write an empty table")
     names = [table.x_name, *table.columns]
     lines = [",".join(names)]
     for i, x in enumerate(table.x):
@@ -343,19 +346,20 @@ def _flag_dests(key: str, spec: _Key) -> list[tuple[str, str]]:
 
 def _merge(namespace: argparse.Namespace) -> RunConfig:
     experiment = namespace.experiment
-    parameters: dict = {}
-    if namespace.config:
-        parameters.update(load_config(namespace.config).parameters)
+    config = _read_config(namespace.config) if namespace.config else RunConfig(experiment)
+    if config.experiment != experiment:
+        message = f"key 'experiment' must be {experiment!r}, got {config.experiment!r}"
+        raise ConfigValidationError("experiment", message)
     for key in _EXPERIMENTS[experiment].keys:
         spec = _KEYS[key]
         values = [getattr(namespace, dest) for dest, _ in _flag_dests(key, spec)]
-        if spec.kind == "range":
-            if values != [None, None]:
-                base = parameters.get(key, spec.default)
-                parameters[key] = [b if v is None else v for b, v in zip(base, values)]
-        elif values[0] is not None:
-            parameters[key] = values[0]
-    return validate(RunConfig(experiment, parameters))
+        if all(v is None for v in values):  # no flag for this key
+            continue
+        base = config.parameters.get(key, spec.default)
+        if spec.kind == "range" and isinstance(base, (list, tuple)) and len(base) == 2:
+            values = [b if v is None else v for b, v in zip(base, values)]  # one end may be unset
+        config.parameters[key] = values if spec.kind == "range" else values[0]
+    return validate(config)
 
 
 def _run(config: RunConfig) -> None:

@@ -313,11 +313,9 @@ def hom_probability(eta: float, cfg: ExperimentConfig) -> float:
 
 
 def _fourfold_vs_delay(
-    pair: PureState, delays_fs: Sequence[float], cfg: ExperimentConfig, eta_max: float, name: str
+    pair: PureState, delays_fs: Sequence[float], cfg: ExperimentConfig, eta_max: float
 ) -> SweepTable:
-    delays = [float(d) for d in delays_fs]
-    if not delays:
-        raise EmptySweepError(f"{name} needs at least one delay")
+    delays = SweepTable("delay_fs", delays_fs, {}).x  # the axis rule, before any point runs
     mode3, _ = apply_bs1(pair)
     values = [
         fourfold_from_mode3(mode3, eta_max * overlap_from_delay(d, cfg.tau_coh_fs), cfg)
@@ -329,7 +327,7 @@ def _fourfold_vs_delay(
 
 def sweep_delay(theta: float, delays_fs: Sequence[float], cfg: ExperimentConfig) -> SweepTable:
     """Fourfold probability versus ancilla delay at fixed phase theta."""
-    return _fourfold_vs_delay(input_phi_theta(theta), delays_fs, cfg, 1.0, "sweep_delay")
+    return _fourfold_vs_delay(input_phi_theta(theta), delays_fs, cfg, 1.0)
 
 
 def sweep_hom_delay(
@@ -342,14 +340,12 @@ def sweep_hom_delay(
     """
     check_unit_interval("eta_max", eta_max)
     cfg0 = replace(cfg, hwp_rotation=0.0)
-    return _fourfold_vs_delay(input_psi_plus(), delays_fs, cfg0, eta_max, "sweep_hom_delay")
+    return _fourfold_vs_delay(input_psi_plus(), delays_fs, cfg0, eta_max)
 
 
 def sweep_phase(thetas: Sequence[float], eta: float, cfg: ExperimentConfig) -> SweepTable:
     """Twofold and fourfold coincidence probabilities over a phase grid."""
-    grid = [float(t) for t in thetas]
-    if not grid:
-        raise EmptySweepError("sweep_phase needs at least one phase")
+    grid = SweepTable("theta", thetas, {}).x
     mode3s = [apply_bs1(input_phi_theta(t))[0] for t in grid]
     twofold = [_twofold_from_mode3(m, cfg) for m in mode3s]
     fourfold = [fourfold_from_mode3(m, eta, cfg) + cfg.background for m in mode3s]

@@ -4,15 +4,23 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focksim.cli import RunConfig, _experiment_settings, execute, load_config, validate, write_csv
-from focksim.errors import ConfigParseError, ConfigValidationError, EmptySweepError
-from focksim.experiments import ExperimentConfig, SweepTable
+from focksim import experiments
+from focksim.cli import _KEYS, RunConfig, _experiment_settings, execute, load_config, validate, write_csv
+from focksim.errors import ConfigParseError, ConfigValidationError, DomainError, EmptySweepError
+from focksim.experiments import (
+    ExperimentConfig,
+    SweepTable,
+    sweep_delay,
+    sweep_hom_delay,
+    sweep_phase,
+)
 
 
 def write_json(tmp_path, payload, name="config.json"):
@@ -412,7 +420,7 @@ def test_execute_validation_failures_exit_two(tmp_path, capsys):
     capsys.readouterr()
     # a one-point window cannot hold several sweep points
     assert execute(["hom", "--from", "5", "--to", "5", "--points", "3"]) == 2
-    assert "key 'range_fs' must span an interval for points > 1" in capsys.readouterr().err
+    assert "key 'range_fs' must hold 3 distinct finite delays, got [5.0, 5.0]" in capsys.readouterr().err
 
 
 def test_execute_hom_with_overflowing_squares(capsys):
@@ -421,6 +429,49 @@ def test_execute_hom_with_overflowing_squares(capsys):
     assert execute(argv) == 0
     expected = "visibility=0.000000000 fourfold_min=0.158030140 fourfold_max=0.158030140\n"
     assert capsys.readouterr().out == expected
+
+
+def test_execute_hom_with_undefined_dip_visibility(tmp_path, capsys):
+    # validate sees only the input: an all-zero dip shows only after the sweep has run,
+    # so this is the one rejection a runner makes, and it leaves no CSV behind
+    for flags in (["--from", "0", "--to", "0"], ["--tau-coh", "1e300"]):
+        out = tmp_path / "x.csv"
+        assert execute(["hom", "--points", "1", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: dip visibility undefined: all values are zero\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_rejected_sweep_axis_runs_no_transform(monkeypatch, capsys):
+    calls = []
+    original = experiments.transform
+    monkeypatch.setattr(experiments, "transform", lambda *args: calls.append(1) or original(*args))
+    cfg = ExperimentConfig()
+    sweeps = (
+        lambda axis: sweep_delay(0.0, axis, cfg),
+        lambda axis: sweep_hom_delay(axis, cfg),
+        lambda axis: sweep_phase(axis, 1.0, cfg),
+    )
+    # 200 decreasing delays used to run every point before the table rejected them,
+    # and 10**400 used to raise OverflowError
+    for axis in ([float(x) for x in range(200, 0, -1)], [0.0, math.nan], [0.0, 10**400]):
+        for sweep in sweeps:
+            with pytest.raises(DomainError):
+                sweep(axis)
+    for sweep in sweeps:
+        with pytest.raises(EmptySweepError):
+            sweep([])
+    windows = {
+        "collapsed": ["--from", "5", "--to", "5", "--points", "3"],
+        "degenerate": ["--from", "1e15", "--to", "1.0000000000000002e15", "--points", "1000"],
+        "overflowing": ["--from", "-1e308", "--to", "1e308", "--points", "3"],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.linspace must never see an overflowing width
+        for name, window in windows.items():
+            for command in (["sweep-delay", "--theta", "1"], ["hom"]):
+                assert execute([*command, *window]) == 2, name
+                assert "key 'range_fs' must hold" in capsys.readouterr().err, name
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -482,6 +533,84 @@ def test_execute_is_deterministic_over_random_sweeps(data):
         written = [path.read_bytes() if path.exists() else None for path in paths]
         assert written[0] == written[1]
         assert (written[0] is not None) == (first[0] == 0)
+
+
+def _as_flags(key, value):
+    if key == "range_fs":
+        return ["--from", repr(value[0]), "--to", repr(value[1])]
+    return [_KEYS[key].flag, repr(value)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_config_and_flags_merge_like_flags_alone(data):
+    experiment = data.draw(st.sampled_from(["sweep-delay", "sweep-phase", "hom"]), label="cmd")
+    delay = experiment != "sweep-phase"
+    keys = {"points": data.draw(st.integers(1 if delay else 4, 7), label="points")}
+    optional = {"r_v": st.floats(0.0, 1.0), "r_h": st.floats(0.0, 1.0), "background": st.floats(0.0, 1.0)}
+    if experiment == "sweep-delay":
+        keys["theta"] = data.draw(st.floats(-10.0, 10.0), label="theta")
+    else:
+        optional["eta"] = st.floats(0.0, 1.0)
+    if delay:
+        window = st.lists(st.integers(-500, 500), min_size=2, max_size=2, unique=True)
+        keys["range_fs"] = sorted(data.draw(window, label="window"))
+        optional["tau_coh_fs"] = st.integers(1, 500)
+    for key, values in optional.items():
+        if data.draw(st.booleans(), label=f"has {key}"):
+            keys[key] = data.draw(values, label=key)
+    # each key goes to the config file or to the flags; a range may be split, its
+    # config end standing beside a decoy that the other end's flag overrides
+    config, flags = {"experiment": experiment}, []
+    for key, value in keys.items():
+        if key == "range_fs":
+            ends = data.draw(st.lists(st.booleans(), min_size=2, max_size=2), label="range ends")
+            decoy = data.draw(st.integers(-500, 500), label="decoy")
+            if any(ends):
+                config[key] = [v if in_config else decoy for v, in_config in zip(value, ends)]
+            for flag, v, in_config in zip(("--from", "--to"), value, ends):
+                if not in_config:
+                    flags += [flag, repr(v)]
+        elif data.draw(st.booleans(), label=f"{key} in config"):
+            config[key] = value
+        else:
+            flags += _as_flags(key, value)
+    with tempfile.TemporaryDirectory() as directory:
+        merged_out, flag_out = Path(directory, "merged.csv"), Path(directory, "flags.csv")
+        config["out_path"] = str(merged_out)
+        path = Path(directory, "config.json")
+        path.write_text(json.dumps(config), encoding="utf-8")
+        merged = _execute_captured([experiment, "--config", str(path), *flags])
+        all_flags = [flag for key, value in keys.items() for flag in _as_flags(key, value)]
+        alone = _execute_captured([experiment, *all_flags, "--out", str(flag_out)])
+        assert alone[0] != 1, alone[2]
+        assert merged == alone
+        written = [p.read_bytes() if p.exists() else None for p in (merged_out, flag_out)]
+        assert written[0] == written[1]
+
+
+def test_config_experiment_must_match_subcommand(tmp_path, capsys):
+    # this config used to be checked against hom's rules and then run as sweep-delay
+    hom = write_json(tmp_path, {"experiment": "hom", "points": 3}, name="hom.json")
+    assert execute(["sweep-delay", "--config", hom, "--theta", "1"]) == 2
+    assert "key 'experiment' must be 'sweep-delay', got 'hom'" in capsys.readouterr().err
+    # a config that lacks theta runs once the flag supplies it
+    window = {"points": 3, "range_fs": [-50, 50]}
+    merged, alone = tmp_path / "c.csv", tmp_path / "f.csv"
+    config = write_json(tmp_path, {"experiment": "sweep-delay", **window, "out_path": str(merged)})
+    flags = ["--points", "3", "--from", "-50", "--to", "50", "--out", str(alone)]
+    assert execute(["sweep-delay", "--config", config, "--theta", "1.0"]) == 0
+    assert execute(["sweep-delay", "--theta", "1.0", *flags]) == 0
+    assert merged.read_bytes() == alone.read_bytes()
+
+
+def test_one_window_flag_needs_a_two_element_config_range(tmp_path, capsys):
+    # the config is merged before it is validated, so a malformed range must not
+    # raise TypeError (exit 1) or be cut to two elements and run
+    for bad in (5, [1, 2, 3], "ab"):
+        path = write_json(tmp_path, {"experiment": "hom", "range_fs": bad})
+        assert execute(["hom", "--config", path, "--from", "0"]) == 2
+        assert "key 'range_fs' must be a two-element numeric list" in capsys.readouterr().err
 
 
 def test_execute_internal_errors_exit_one(tmp_path, monkeypatch, capsys):

@@ -84,6 +84,9 @@ ENTRY_POINTS = {
     "extend_ancilla": ("unit", lambda v: fs.extend_ancilla(ANALYSIS, fs.mode(8, "H"), v)),
     "input_phi_theta": ("real", lambda v: fs.input_phi_theta(v)),
     "sweep_hom_delay.eta_max": ("unit", lambda v: fs.sweep_hom_delay([0.0], CFG, v)),
+    "sweep_delay.delays_fs": ("real", lambda v: fs.sweep_delay(0.0, [0.0, v], CFG)),
+    "sweep_hom_delay.delays_fs": ("real", lambda v: fs.sweep_hom_delay([0.0, v], CFG)),
+    "sweep_phase.thetas": ("real", lambda v: fs.sweep_phase([0.0, v], 1.0, CFG)),
     "SweepTable.x": ("real", lambda v: fs.SweepTable("x", [0.0, v], {"y": [0.0, 0.0]})),
     "SweepTable.column": ("real", lambda v: fs.SweepTable("x", [0.0, 1.0], {"y": [0.0, v]})),
     "fit_fringe.theta": ("real", lambda v: fs.fit_fringe([*SAMPLES, (v, 0.5)])),
