@@ -41,8 +41,8 @@ from .experiments import (
     ExperimentConfig,
     SweepTable,
     dip_visibility,
+    _phase_shift,
     fit_fringe,
-    fringe_phase_shift,
     sweep_delay,
     sweep_hom_delay,
     sweep_phase,
@@ -130,7 +130,7 @@ def _run_sweep_phase(config: RunConfig):
     two = fit_fringe(zip(table.x, table.column("twofold")))
     four = fit_fringe(zip(table.x, table.column("fourfold")))
     return table, [
-        ("phase_shift", fringe_phase_shift(table)),
+        ("phase_shift", _phase_shift(two, four)),
         ("twofold_amplitude", two.amplitude),
         ("fourfold_amplitude", four.amplitude),
     ]

@@ -8,10 +8,9 @@ first port maps to (sqrt(R), sqrt(1-R)) and the second port to
 transmission.  All reported interference signs downstream depend on this
 choice, which is therefore frozen here.
 
-The tabletop's spatial ports are fixed here too: the signal enters the
-sign-shift splitter on the analyzer port, the ancilla on the herald port,
-and the polarizing splitter sends the analyzer's V photons to detector
-path A and its H photons to detector path B.
+This module knows no tabletop: where each element sits is decided in
+`focksim.experiments`, and the copy per temporal bin in
+`focksim.distinguish`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import H, V, ModeLabel, ModeRegistry, mode
+from .core import ModeLabel, ModeRegistry
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -32,13 +31,6 @@ from .errors import (
 
 #: Maximum allowed deviation of U†U from the identity.
 UNITARITY_TOL = 1e-10
-
-#: Tabletop spatial ports: signal/analyzer, herald, and the polarizing
-#: splitter's two outputs.
-ANALYZER_SPATIAL = 7
-HERALD_SPATIAL = 8
-DETECTOR_A_SPATIAL = 9   # V-polarized path after the polarizing splitter
-DETECTOR_B_SPATIAL = 10  # H-polarized path
 
 
 class ModeUnitary:
@@ -109,33 +101,6 @@ def half_wave_plate(rotation_degrees: float) -> ModeUnitary:
     return ModeUnitary(np.array([[c, s], [s, -c]]))
 
 
-def sign_shift_splitter(registry: ModeRegistry, r_v: float, r_h: float) -> ModeUnitary:
-    """Sign-shift splitter between the analyzer and herald ports.
-
-    `dual_pol_beam_splitter(r_v, r_h)` with the analyzer port as its first
-    input and the herald port as its second, in every temporal bin.
-    """
-    return embed_per_bin(
-        dual_pol_beam_splitter(r_v, r_h),
-        [(ANALYZER_SPATIAL, H), (HERALD_SPATIAL, H), (ANALYZER_SPATIAL, V), (HERALD_SPATIAL, V)],
-        registry,
-    )
-
-
-def pbs_router(registry: ModeRegistry) -> ModeUnitary:
-    """Polarizing beam splitter routing analyzer output to detector paths.
-
-    In every temporal bin, V photons on the analyzer mode go to detector
-    path A and H photons to detector path B: a pure permutation.
-    """
-    swap = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    return embed_per_bin(
-        ModeUnitary(swap),
-        [(ANALYZER_SPATIAL, V), (DETECTOR_A_SPATIAL, V), (ANALYZER_SPATIAL, H), (DETECTOR_B_SPATIAL, H)],
-        registry,
-    )
-
-
 def embed_into(
     element: ModeUnitary, target_modes: Sequence[ModeLabel], registry: ModeRegistry
 ) -> ModeUnitary:
@@ -150,23 +115,6 @@ def embed_into(
     full = np.eye(registry.size, dtype=complex)
     full[np.ix_(indices, indices)] = element.matrix
     return ModeUnitary(full)
-
-
-def embed_per_bin(
-    element: ModeUnitary, ports: Sequence[tuple[int, str]], registry: ModeRegistry
-) -> ModeUnitary:
-    """Place an element on the listed (spatial, pol) ports in every temporal bin.
-
-    Every tabletop element acts identically on each temporal copy of its
-    ports, so a registry with delayed modes gets one copy of the element
-    per temporal bin it holds.
-    """
-    bins = sorted({label.temporal for label in registry.labels})
-    return embed_into(
-        ModeUnitary(np.kron(np.eye(len(bins)), element.matrix)),
-        [mode(spatial, pol, t) for t in bins for spatial, pol in ports],
-        registry,
-    )
 
 
 def compose(elements: Sequence[ModeUnitary]) -> ModeUnitary:

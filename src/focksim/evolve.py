@@ -8,20 +8,22 @@ permanent, enumerating only the output rows an input component can reach
 re-derives the same map by brute-force expansion of the creation-operator
 polynomial and is kept free of permanents so the two routes stay
 independent checks of each other.
+
+The engine knows no tabletop: `ns_pipeline` places its splitter on two
+ports of its own, and the analysis stage lives in `focksim.experiments`.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import H, V, ModeLabel, ModeRegistry, PureState, basis_state, mode
-from .elements import ANALYZER_SPATIAL, HERALD_SPATIAL, ModeUnitary, sign_shift_splitter
+from .elements import ModeUnitary, dual_pol_beam_splitter, embed_into
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -89,7 +91,6 @@ def permanent(matrix) -> complex:
     return _permanent_rows(array.tolist())
 
 
-@lru_cache(maxsize=None)
 def occupations(total: int, modes: int) -> tuple[tuple[int, ...], ...]:
     """All occupation tuples of `total` photons over `modes`, lexicographic."""
     total, modes = check_count("photon number", total), check_count("mode count", modes)
@@ -332,38 +333,28 @@ class NSPipelineResult(NamedTuple):
 def ns_pipeline(m: int, n: int, r_v: float, r_h: float) -> NSPipelineResult:
     """Sign-shift operation via the full transform + herald route.
 
-    Sends |m_V; n_H> on the analyzer port plus an H-polarized single-photon
-    ancilla on the herald port through the sign-shift splitter and
-    post-selects on exactly one H photon and no V photons on the herald
-    side.  Returns the surviving |m_V; n_H> amplitude and the herald
-    probability; both must agree with the closed forms, which is the
-    cross-check the two code paths exist for.
+    Sends |m_V; n_H> on the splitter's first port plus an H-polarized
+    single-photon ancilla on its second port through
+    `dual_pol_beam_splitter(r_v, r_h)` and post-selects on exactly one H
+    photon and no V photons on the ancilla side.  Returns the surviving
+    |m_V; n_H> amplitude and the herald probability; both must agree with
+    the closed forms, which is the cross-check the two code paths exist for.
     """
-    registry = ModeRegistry(
-        [mode(s, p) for s in (ANALYZER_SPATIAL, HERALD_SPATIAL) for p in (H, V)]
-    )
-    state = basis_state(
+    signal, ancilla = 0, 1  # the splitter's two spatial ports
+    registry = ModeRegistry([mode(s, p) for s in (signal, ancilla) for p in (H, V)])
+    state = basis_state(registry, {mode(signal, V): m, mode(signal, H): n, mode(ancilla, H): 1})
+    splitter = embed_into(
+        dual_pol_beam_splitter(r_v, r_h),
+        [mode(signal, H), mode(ancilla, H), mode(signal, V), mode(ancilla, V)],
         registry,
-        {
-            mode(ANALYZER_SPATIAL, V): m,
-            mode(ANALYZER_SPATIAL, H): n,
-            mode(HERALD_SPATIAL, H): 1,
-        },
     )
-    evolved = transform(sign_shift_splitter(registry, r_v, r_h), state)
+    evolved = transform(splitter, state)
     result = herald(
         evolved,
-        HeraldSpec(
-            [
-                ([mode(HERALD_SPATIAL, H)], Exactly(1)),
-                ([mode(HERALD_SPATIAL, V)], ZERO),
-            ]
-        ),
+        HeraldSpec([([mode(ancilla, H)], Exactly(1)), ([mode(ancilla, V)], ZERO)]),
     )
     if not result.branches:
         return NSPipelineResult(0j, 0.0)
     conditional = result.conditional_state
-    target = conditional.registry.occupation(
-        {mode(ANALYZER_SPATIAL, V): m, mode(ANALYZER_SPATIAL, H): n}
-    )
+    target = conditional.registry.occupation({mode(signal, V): m, mode(signal, H): n})
     return NSPipelineResult(conditional.amplitude(target), result.probability)

@@ -7,6 +7,9 @@ analyzer path (spatial 7) and the herald path (spatial 8).  A wave plate
 rotates the analyzer polarization, after which a polarizing splitter sends
 V to detector path A (spatial 9) and H to detector path B (spatial 10).
 A fourfold event is one photon on the herald (H only), one on A, one on B.
+No other module knows this layout: the placements and `analysis_registry`
+are built from one table of the ports each element acts on, and the
+temporal bins are `focksim.distinguish`'s.
 
 All probabilities are conditional on the prepared mode-3 state: absolute
 pair-generation and collection rates are outside the model, and the
@@ -35,21 +38,15 @@ from .core import (
     relabel,
     tensor_product,
 )
-from .distinguish import DEFAULT_TAU_COH_FS, extend_ancilla, overlap_from_delay
-from .elements import (
-    ANALYZER_SPATIAL,
-    DETECTOR_A_SPATIAL,
-    DETECTOR_B_SPATIAL,
-    HERALD_SPATIAL,
-    ModeUnitary,
-    compose,
-    dual_pol_beam_splitter,
-    embed_into,
+from .distinguish import (
+    DEFAULT_TAU_COH_FS,
+    _binned_labels,
+    _detector_modes,
     embed_per_bin,
-    half_wave_plate,
-    pbs_router,
-    sign_shift_splitter,
+    extend_ancilla,
+    overlap_from_delay,
 )
+from .elements import ModeUnitary, compose, dual_pol_beam_splitter, embed_into, half_wave_plate
 from .errors import (
     DegenerateFitError,
     DomainError,
@@ -63,6 +60,21 @@ from .evolve import Exactly, HeraldSpec, ZERO, herald, transform
 PAIR_IN = (1, 2)
 _FIRST, _SECOND = PAIR_IN  # apply_bs1 bunches the pair on the first port's side
 MODE3_SPATIAL = 3
+ANALYZER_SPATIAL = 7
+HERALD_SPATIAL = 8
+DETECTOR_A_SPATIAL = 9   # V-polarized path after the polarizing splitter
+DETECTOR_B_SPATIAL = 10  # H-polarized path
+
+#: (spatial, pol) ports of each analysis element, in the order of its matrix's modes.
+_SPLITTER_PORTS = (
+    (ANALYZER_SPATIAL, H), (HERALD_SPATIAL, H), (ANALYZER_SPATIAL, V), (HERALD_SPATIAL, V)
+)
+_PLATE_PORTS = ((ANALYZER_SPATIAL, H), (ANALYZER_SPATIAL, V))
+_ROUTER_PORTS = (
+    (ANALYZER_SPATIAL, V), (DETECTOR_A_SPATIAL, V), (ANALYZER_SPATIAL, H), (DETECTOR_B_SPATIAL, H)
+)
+#: Every port of the analysis stage, once each.
+_STAGE_PORTS = tuple(dict.fromkeys(_SPLITTER_PORTS + _PLATE_PORTS + _ROUTER_PORTS))
 
 
 @dataclass(frozen=True)
@@ -191,20 +203,31 @@ def apply_bs1(state: PureState) -> tuple[PureState, float]:
 
 
 def analysis_registry(delayed: bool = True) -> ModeRegistry:
-    """Modes of the sign-shift and analysis stage.
+    """Modes of the sign-shift and analysis stage: every port its elements act on.
 
     With `delayed` the registry carries temporal bins 0 and 1 on every mode
     so a partially distinguishable ancilla can be represented.
     """
-    temporals = (0, 1) if delayed else (0,)
-    labels = []
-    for t in temporals:
-        for p in (H, V):
-            labels.append(mode(ANALYZER_SPATIAL, p, t))
-            labels.append(mode(HERALD_SPATIAL, p, t))
-        labels.append(mode(DETECTOR_A_SPATIAL, V, t))
-        labels.append(mode(DETECTOR_B_SPATIAL, H, t))
-    return ModeRegistry(labels)
+    return ModeRegistry(_binned_labels(_STAGE_PORTS, delayed))
+
+
+def sign_shift_splitter(registry: ModeRegistry, r_v: float, r_h: float) -> ModeUnitary:
+    """Sign-shift splitter between the analyzer and herald ports.
+
+    `dual_pol_beam_splitter(r_v, r_h)` with the analyzer port as its first
+    input and the herald port as its second, in every temporal bin.
+    """
+    return embed_per_bin(dual_pol_beam_splitter(r_v, r_h), _SPLITTER_PORTS, registry)
+
+
+def pbs_router(registry: ModeRegistry) -> ModeUnitary:
+    """Polarizing beam splitter routing analyzer output to detector paths.
+
+    In every temporal bin, V photons on the analyzer mode go to detector
+    path A and H photons to detector path B: a pure permutation.
+    """
+    swap = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    return embed_per_bin(ModeUnitary(swap), _ROUTER_PORTS, registry)
 
 
 def analysis_circuit(registry: ModeRegistry, cfg: ExperimentConfig) -> ModeUnitary:
@@ -213,21 +236,15 @@ def analysis_circuit(registry: ModeRegistry, cfg: ExperimentConfig) -> ModeUnita
     The signal sits on spatial 7 and the ancilla on spatial 8 before the
     splitter; each element acts identically on every temporal bin.
     """
-    plate = embed_per_bin(
-        half_wave_plate(cfg.hwp_rotation), [(ANALYZER_SPATIAL, H), (ANALYZER_SPATIAL, V)], registry
-    )
+    plate = embed_per_bin(half_wave_plate(cfg.hwp_rotation), _PLATE_PORTS, registry)
     return compose([sign_shift_splitter(registry, cfg.r_v, cfg.r_h), plate, pbs_router(registry)])
-
-
-def _temporal_group(registry: ModeRegistry, spatial: int, pol: str):
-    return [label for label in registry.labels if label.spatial == spatial and label.pol == pol]
 
 
 def _detector_pair(registry: ModeRegistry) -> list:
     """Detector A (V) and detector B (H) each see exactly one photon over all bins."""
     return [
-        (_temporal_group(registry, DETECTOR_A_SPATIAL, V), Exactly(1)),
-        (_temporal_group(registry, DETECTOR_B_SPATIAL, H), Exactly(1)),
+        (_detector_modes(registry, DETECTOR_A_SPATIAL, V), Exactly(1)),
+        (_detector_modes(registry, DETECTOR_B_SPATIAL, H), Exactly(1)),
     ]
 
 
@@ -239,11 +256,11 @@ def fourfold_herald(registry: ModeRegistry) -> HeraldSpec:
     """
     return HeraldSpec(
         [
-            (_temporal_group(registry, HERALD_SPATIAL, H), Exactly(1)),
+            (_detector_modes(registry, HERALD_SPATIAL, H), Exactly(1)),
             *_detector_pair(registry),
             (
-                _temporal_group(registry, ANALYZER_SPATIAL, H)
-                + _temporal_group(registry, ANALYZER_SPATIAL, V),
+                _detector_modes(registry, ANALYZER_SPATIAL, H)
+                + _detector_modes(registry, ANALYZER_SPATIAL, V),
                 ZERO,
             ),
         ]
@@ -256,14 +273,8 @@ def twofold_herald(registry: ModeRegistry) -> HeraldSpec:
 
 
 def _place_signal(mode3_state: PureState, registry: ModeRegistry) -> PureState:
-    moved = relabel(
-        mode3_state,
-        {
-            mode(MODE3_SPATIAL, H): mode(ANALYZER_SPATIAL, H),
-            mode(MODE3_SPATIAL, V): mode(ANALYZER_SPATIAL, V),
-        },
-    )
-    return expand_onto(moved, registry)
+    moves = {mode(MODE3_SPATIAL, p): mode(ANALYZER_SPATIAL, p) for p in (H, V)}
+    return expand_onto(relabel(mode3_state, moves), registry)
 
 
 def fourfold_from_mode3(mode3_state: PureState, eta: float, cfg: ExperimentConfig) -> float:
@@ -282,6 +293,7 @@ def fourfold_probability(theta: float, eta: float, cfg: ExperimentConfig) -> flo
     runs it with an ancilla of overlap eta through the analysis circuit and
     adds the accidental background.
     """
+    check_unit_interval("eta", eta)
     mode3, _ = apply_bs1(input_phi_theta(theta))
     return fourfold_from_mode3(mode3, eta, cfg) + cfg.background
 
@@ -345,6 +357,7 @@ def sweep_hom_delay(
 
 def sweep_phase(thetas: Sequence[float], eta: float, cfg: ExperimentConfig) -> SweepTable:
     """Twofold and fourfold coincidence probabilities over a phase grid."""
+    check_unit_interval("eta", eta)
     grid = SweepTable("theta", thetas, {}).x
     mode3s = [apply_bs1(input_phi_theta(t))[0] for t in grid]
     twofold = [_twofold_from_mode3(m, cfg) for m in mode3s]
@@ -413,5 +426,9 @@ def fringe_phase_shift(table: SweepTable) -> float:
     """Absolute phase offset between the fourfold and twofold fringes, in [0, pi]."""
     two = fit_fringe(zip(table.x, table.column("twofold")))
     four = fit_fringe(zip(table.x, table.column("fourfold")))
-    delta = math.remainder(four.phase - two.phase, 2.0 * math.pi)
-    return abs(delta)
+    return _phase_shift(two, four)
+
+
+def _phase_shift(two: FringeFit, four: FringeFit) -> float:
+    """`fringe_phase_shift` from the two fits it makes, for callers that hold them."""
+    return abs(math.remainder(four.phase - two.phase, 2.0 * math.pi))

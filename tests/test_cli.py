@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import focksim.cli
 from focksim import experiments
 from focksim.cli import _KEYS, RunConfig, _experiment_settings, execute, load_config, validate, write_csv
 from focksim.errors import ConfigParseError, ConfigValidationError, DomainError, EmptySweepError
 from focksim.experiments import (
     ExperimentConfig,
     SweepTable,
+    fourfold_probability,
     sweep_delay,
     sweep_hom_delay,
     sweep_phase,
@@ -301,6 +303,24 @@ def test_execute_sweep_phase_writes_csv_and_phase(tmp_path, capsys):
     assert first_row == "0.00000000,0.00000000,0.125000000"
 
 
+def test_sweep_phase_fits_each_fringe_once(monkeypatch, capsys):
+    # the runner used to fit both columns, then fit them again for the phase shift
+    calls = []
+    original = experiments.fit_fringe
+
+    def counting(samples):
+        calls.append(1)
+        return original(samples)
+
+    monkeypatch.setattr(experiments, "fit_fringe", counting)
+    monkeypatch.setattr(focksim.cli, "fit_fringe", counting)
+    assert execute(["sweep-phase", "--points", "25"]) == 0
+    assert capsys.readouterr().out == (
+        "phase_shift=3.141592654 twofold_amplitude=0.250000000 fourfold_amplitude=0.125000000\n"
+    )
+    assert len(calls) == 2
+
+
 def test_execute_sweep_phase_byte_identical_runs(tmp_path):
     first = tmp_path / "one.csv"
     second = tmp_path / "two.csv"
@@ -460,6 +480,12 @@ def test_rejected_sweep_axis_runs_no_transform(monkeypatch, capsys):
     for sweep in sweeps:
         with pytest.raises(EmptySweepError):
             sweep([])
+    # a bad overlap used to surface in extend_ancilla, after the pair transforms
+    for eta in (1.5, math.nan):
+        with pytest.raises(DomainError):
+            sweep_phase([0.1 * i for i in range(25)], eta, cfg)
+        with pytest.raises(DomainError):
+            fourfold_probability(0.0, eta, cfg)
     windows = {
         "collapsed": ["--from", "5", "--to", "5", "--points", "3"],
         "degenerate": ["--from", "1e15", "--to", "1.0000000000000002e15", "--points", "1000"],

@@ -129,7 +129,7 @@ def test_detector_aggregation_matches_per_pattern_sum():
     reg = analysis_registry(delayed=True)
 
     from focksim.core import expand_onto, relabel, tensor_product
-    from focksim.experiments import _temporal_group
+    from focksim.distinguish import _detector_modes as _temporal_group
 
     signal = expand_onto(
         relabel(mode3, {mode(3, "H"): mode(7, "H"), mode(3, "V"): mode(7, "V")}),

@@ -87,6 +87,8 @@ ENTRY_POINTS = {
     "sweep_delay.delays_fs": ("real", lambda v: fs.sweep_delay(0.0, [0.0, v], CFG)),
     "sweep_hom_delay.delays_fs": ("real", lambda v: fs.sweep_hom_delay([0.0, v], CFG)),
     "sweep_phase.thetas": ("real", lambda v: fs.sweep_phase([0.0, v], 1.0, CFG)),
+    "sweep_phase.eta": ("unit", lambda v: fs.sweep_phase([0.0, 1.0], v, CFG)),
+    "fourfold_probability.eta": ("unit", lambda v: fs.fourfold_probability(0.0, v, CFG)),
     "SweepTable.x": ("real", lambda v: fs.SweepTable("x", [0.0, v], {"y": [0.0, 0.0]})),
     "SweepTable.column": ("real", lambda v: fs.SweepTable("x", [0.0, 1.0], {"y": [0.0, v]})),
     "fit_fringe.theta": ("real", lambda v: fs.fit_fringe([*SAMPLES, (v, 0.5)])),

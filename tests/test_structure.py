@@ -1,0 +1,139 @@
+"""The tabletop's physics structure as properties over random configurations.
+
+Write F(eta) for `fourfold_from_mode3` at ancilla overlap eta.  Because the
+analysis circuit acts on each temporal bin alone and every detector sums
+over bins, the bin-0 and bin-1 ancilla terms never interfere: F is exactly
+linear in eta^2, and F(1) and F(0) both follow from the single-bin registry.
+The phase fringes are exact sin^2 curves and the delay sweeps are even in
+the delay.  Every check holds to 1e-12.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from focksim import (
+    H,
+    V,
+    Exactly,
+    ExperimentConfig,
+    HeraldSpec,
+    analysis_circuit,
+    analysis_registry,
+    apply_bs1,
+    basis_state,
+    expand_onto,
+    fit_fringe,
+    fourfold_from_mode3,
+    fourfold_herald,
+    herald,
+    input_phi_theta,
+    input_psi_plus,
+    mode,
+    relabel,
+    sweep_delay,
+    sweep_hom_delay,
+    sweep_phase,
+    tensor_product,
+    transform,
+)
+from focksim.experiments import (
+    ANALYZER_SPATIAL,
+    DETECTOR_A_SPATIAL,
+    DETECTOR_B_SPATIAL,
+    HERALD_SPATIAL,
+    MODE3_SPATIAL,
+)
+
+TOL = 1e-12
+
+unit = st.floats(0.0, 1.0)
+configs = st.builds(
+    ExperimentConfig,
+    r_v=unit,
+    r_h=unit,
+    hwp_rotation=st.floats(-180.0, 180.0),
+    tau_coh_fs=st.floats(1.0, 1000.0),
+    background=st.floats(0.0, 0.1),
+)
+phases = st.floats(-2.0 * math.pi, 2.0 * math.pi)
+pairs = st.one_of(phases.map(input_phi_theta), st.just(input_psi_plus()))
+
+
+@settings(max_examples=15, deadline=None)
+@given(cfg=configs, pair=pairs, eta=unit)
+def test_fourfold_is_linear_in_eta_squared(cfg, pair, eta):
+    mode3, _ = apply_bs1(pair)
+    mixed = eta**2 * fourfold_from_mode3(mode3, 1.0, cfg)
+    mixed += (1.0 - eta**2) * fourfold_from_mode3(mode3, 0.0, cfg)
+    assert abs(fourfold_from_mode3(mode3, eta, cfg) - mixed) <= TOL
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    cfg=configs,
+    eta=unit,
+    start=st.floats(-math.pi, math.pi),
+    span=st.floats(1.2 * math.pi, 2.0 * math.pi),
+    points=st.integers(5, 9),
+)
+def test_phase_fringes_are_exact(cfg, eta, start, span, points):
+    thetas = [float(t) for t in np.linspace(start, start + span, points)]
+    table = sweep_phase(thetas, eta, cfg)
+    two = fit_fringe(zip(table.x, table.column("twofold")))
+    four = fit_fringe(zip(table.x, table.column("fourfold")))
+    assert two.rms_residual <= TOL
+    assert four.rms_residual <= TOL
+    # the fitted phase of a fringe whose contrast sits near rounding noise is
+    # that noise, so the twofold phase is pinned where the fringe is visible
+    if two.amplitude >= 1e-2 * (two.amplitude + 2.0 * two.offset):
+        assert abs(two.phase) <= TOL
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    cfg=configs,
+    theta=phases,
+    eta_max=unit,
+    delay=st.floats(1e-3, 1e3),
+)
+def test_delay_sweeps_are_even_in_the_delay(cfg, theta, eta_max, delay):
+    for table in (
+        sweep_delay(theta, [-delay, delay], cfg),
+        sweep_hom_delay([-delay, delay], cfg, eta_max),
+    ):
+        left, right = table.column("fourfold")
+        assert abs(left - right) <= TOL
+
+
+def single_bin_limits(mode3, cfg):
+    """F(1) and F(0) on the 6-mode single-bin registry, without a delayed copy."""
+    registry = analysis_registry(delayed=False)
+    circuit = analysis_circuit(registry, cfg)
+    moves = {mode(MODE3_SPATIAL, p): mode(ANALYZER_SPATIAL, p) for p in (H, V)}
+    placed = expand_onto(relabel(mode3, moves), registry)
+    ancilla = mode(HERALD_SPATIAL, H)
+    coherent = tensor_product(placed, basis_state(registry, {ancilla: 1}))
+    f1 = herald(transform(circuit, coherent), fourfold_herald(registry)).probability
+    signal = transform(circuit, placed)
+    # a distinguishable ancilla lands on one detector on its own, and the
+    # pair must put one photon on each of the other two
+    detectors = [ancilla, mode(DETECTOR_A_SPATIAL, V), mode(DETECTOR_B_SPATIAL, H)]
+    column = circuit.matrix[:, registry.index(ancilla)]
+    f0 = 0.0
+    for hit in detectors:
+        others = [([label], Exactly(1)) for label in detectors if label != hit]
+        pair_probability = herald(signal, HeraldSpec(others)).probability
+        f0 += abs(column[registry.index(hit)]) ** 2 * pair_probability
+    return f1, f0
+
+
+@settings(max_examples=15, deadline=None)
+@given(cfg=configs, pair=pairs)
+def test_single_bin_registry_gives_both_overlap_limits(cfg, pair):
+    mode3, _ = apply_bs1(pair)
+    f1, f0 = single_bin_limits(mode3, cfg)
+    assert abs(fourfold_from_mode3(mode3, 1.0, cfg) - f1) <= TOL
+    assert abs(fourfold_from_mode3(mode3, 0.0, cfg) - f0) <= TOL
