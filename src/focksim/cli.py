@@ -8,8 +8,9 @@ describes every config key once (flag, kind, range, default, help) and
 `_EXPERIMENTS` holds, per subcommand, the keys it accepts and the runner
 that computes its result; the parser, the flag merge, the validator and the
 dispatch all read these two tables, so a subcommand offers only its own
-flags.  `validate` sees only the input, so one rejection is left to a
-runner: `hom`'s dip visibility is undefined when every fourfold value is 0.
+flags.  `validate` sees only the input, so two rejections are left to the
+runners: `hom`'s dip visibility is undefined when every fourfold value is
+0, and `sweep-phase`'s phase shift when either fringe is flat.
 Keys named after an `ExperimentConfig` field take their defaults from it.
 Exit codes: 0 success, 2 for configuration or validation problems, 1 for
 internal errors.

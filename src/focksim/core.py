@@ -5,7 +5,9 @@ registry assigns every label a dense index under a fixed canonical order.
 Basis states are occupation tuples (one photon count per registered mode)
 and a pure state is a sparse map from occupation tuples to complex
 amplitudes.  States may be sub-normalized: the squared norm of a heralded
-state is the probability of the heralding event.
+state is the probability of the heralding event.  Every state is built by
+one constructor, which checks each key and amplitude; a key that is
+already a tuple of small Python ints passes in a few C-level calls.
 """
 
 from __future__ import annotations
@@ -111,12 +113,35 @@ class ModeRegistry:
         return tuple(occ)
 
 
+_INT_ONLY = frozenset({int})
+#: Counts a key may hold and still take `PureState`'s fast path; a key with a
+#: larger count is checked count by count, as any other key is.
+_FAST_COUNTS = frozenset(range(64))
+
+
+def _checked_occupation(occ, size: int) -> tuple[int, ...]:
+    """`occ` as a tuple of ints; the rules `PureState` applies to any key."""
+    if len(occ) != size:
+        raise DimensionMismatchError(
+            f"occupation length {len(occ)} does not match registry size {size}"
+        )
+    # check_count's test, inlined: this runs for every key off the fast path
+    if not all(0 <= c <= FLOAT_MAX and c % 1 == 0 for c in occ):
+        raise DomainError(f"occupation counts must be non-negative integers: {occ}")
+    return tuple(int(c) for c in occ)
+
+
 class PureState:
     """Sparse pure state: occupation tuple -> complex amplitude.
 
     Amplitudes smaller than :data:`PRUNE_THRESHOLD` in magnitude are pruned
-    on construction.  The squared norm is not forced to 1; heralded states
-    legitimately carry norms below 1.
+    on construction, and a non-finite amplitude is rejected.  The squared
+    norm is not forced to 1; heralded states legitimately carry norms below 1.
+
+    Keys that are already tuples of small non-negative Python ints are
+    checked by a few C-level calls and kept as given; any other key (bools,
+    numpy ints, integral floats, lists, large counts) is checked count by
+    count and converted to a tuple of ints.
     """
 
     def __init__(self, registry: ModeRegistry, amplitudes: Mapping[tuple[int, ...], complex]):
@@ -124,18 +149,20 @@ class PureState:
         size = registry.size
         kept: dict[tuple[int, ...], complex] = {}
         for occ, amp in amplitudes.items():
-            if len(occ) != size:
-                raise DimensionMismatchError(
-                    f"occupation length {len(occ)} does not match registry size {size}"
-                )
-            # check_count's test, inlined: this loop runs for every output amplitude
-            if not all(0 <= c <= FLOAT_MAX and c % 1 == 0 for c in occ):
-                raise DomainError(f"occupation counts must be non-negative integers: {occ}")
+            # fast path, in C-level calls: a tuple of small Python ints is kept as is
+            if not (
+                type(occ) is tuple
+                and len(occ) == size
+                and _INT_ONLY.issuperset(map(type, occ))
+                and _FAST_COUNTS.issuperset(occ)
+            ):
+                occ = _checked_occupation(occ, size)
             value = complex(amp)
+            # not redundant with the pruning test: abs(nan) >= PRUNE_THRESHOLD is False
             if not cmath.isfinite(value):
                 raise DomainError(f"amplitude of {occ} must be finite, got {value}")
             if abs(value) >= PRUNE_THRESHOLD:
-                kept[tuple(int(c) for c in occ)] = value
+                kept[occ] = value
         self._amplitudes = kept
 
     @property
@@ -149,9 +176,9 @@ class PureState:
         return tuple(sorted(self._amplitudes))
 
     def amplitude(self, occ: tuple[int, ...] | Mapping[ModeLabel, int]) -> complex:
-        if isinstance(occ, Mapping):
-            occ = self._registry.occupation(occ)
-        return self._amplitudes.get(tuple(occ), 0j)
+        if type(occ) is not tuple:
+            occ = self._registry.occupation(occ) if isinstance(occ, Mapping) else tuple(occ)
+        return self._amplitudes.get(occ, 0j)
 
     def norm_squared(self) -> float:
         return math.fsum(abs(a) ** 2 for a in self._amplitudes.values())

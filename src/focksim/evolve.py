@@ -2,12 +2,15 @@
 
 The transition amplitude between occupation m and n under a mode unitary U
 is Per(U[m, n]) / sqrt(prod(m_i!) * prod(n_j!)), where U[m, n] repeats row k
-m_k times and column j n_j times.  `transform` evaluates this with a Ryser
-permanent, enumerating only the output rows an input component can reach
-(rows with a non-zero entry in its input columns); `transform_oracle`
-re-derives the same map by brute-force expansion of the creation-operator
-polynomial and is kept free of permanents so the two routes stay
-independent checks of each other.
+m_k times and column j n_j times.  `transform` is the engine: it
+enumerates only the output rows an input component can reach (rows with a
+non-zero entry in its input columns), builds each target occupation and
+its factorial product from the counts of the picked rows, and evaluates
+the permanent in closed form for n <= 4 photons and by Gray-code Ryser
+beyond.  `transform_oracle` is the check: it re-derives the same map by
+expanding the creation-operator polynomial on numpy arrays, evaluates no
+permanent and shares no evaluation code with `transform`, so the two routes
+stay independent checks of each other.
 
 The engine knows no tabletop: `ns_pipeline` places its splitter on two
 ports of its own, and the analysis stage lives in `focksim.experiments`.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import combinations_with_replacement
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,20 +41,20 @@ from .errors import (
 #: Largest total photon number `transform` accepts.
 PHOTON_CAP = 8
 
+#: `transform_oracle` keys a monomial by its mode counts as digits in this
+#: base; (PHOTON_CAP + 1) ** MODE_CAP must fit in an int64.
+_COUNT_BASE = PHOTON_CAP + 1
+_FACTORIALS = np.array([math.factorial(c) for c in range(_COUNT_BASE)], dtype=float)
+#: Terms `transform_oracle` lets a product hold before merging equal monomials.
+_COLLECT_AT = 256
 
-def _permanent_rows(rows: list[list[complex]]) -> complex:
-    """Permanent of a square matrix given as nested lists.
 
-    Closed forms for n <= 2, Ryser's formula with Gray-code subset updates
-    (O(2^n * n)) beyond that.
+def _ryser(rows: Sequence[Sequence[complex]]) -> complex:
+    """Permanent of an n x n matrix (n >= 1) by Ryser's formula.
+
+    Gray-code subset updates: O(2^n * n) operations.
     """
     n = len(rows)
-    if n == 0:
-        return 1 + 0j
-    if n == 1:
-        return complex(rows[0][0])
-    if n == 2:
-        return rows[0][0] * rows[1][1] + rows[0][1] * rows[1][0]
     cols = list(zip(*rows))
     sums = [0j] * n
     total = 0j
@@ -78,6 +81,52 @@ def _permanent_rows(rows: list[list[complex]]) -> complex:
     return -total if (n & 1) else total
 
 
+def _per0() -> complex:
+    return 1 + 0j
+
+
+def _per1(r0) -> complex:
+    return complex(r0[0])
+
+
+def _per2(r0, r1) -> complex:
+    return r0[0] * r1[1] + r0[1] * r1[0]
+
+
+def _per3(r0, r1, r2) -> complex:
+    a, b, c = r0
+    d, e, f = r1
+    g, h, i = r2
+    return a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
+
+
+def _per4(r0, r1, r2, r3) -> complex:
+    a, b, c, d = r0
+    e, f, g, h = r1
+    i, j, k, l = r2  # noqa: E741
+    m, n, o, p = r3
+    # each column pair's permanent on rows 0-1 times the other pair's on rows 2-3
+    return (
+        (a * f + b * e) * (k * p + l * o)
+        + (a * g + c * e) * (j * p + l * n)
+        + (a * h + d * e) * (j * o + k * n)
+        + (b * g + c * f) * (i * p + l * m)
+        + (b * h + d * f) * (i * o + k * m)
+        + (c * h + d * g) * (i * n + j * m)
+    )
+
+
+#: Closed-form permanents, indexed by n; each takes the n rows as arguments.
+_CLOSED_FORMS = (_per0, _per1, _per2, _per3, _per4)
+
+
+def _permanent_of(n: int) -> Callable[..., complex]:
+    """Permanent of n rows passed as n arguments: a closed form, else Ryser."""
+    if n < len(_CLOSED_FORMS):
+        return _CLOSED_FORMS[n]
+    return lambda *rows: _ryser(rows)
+
+
 def permanent(matrix) -> complex:
     """Permanent of a square complex matrix (n = 0 gives 1)."""
     try:
@@ -88,7 +137,8 @@ def permanent(matrix) -> complex:
         raise NonSquareError(f"permanent requires a square matrix, got shape {array.shape}")
     if not np.isfinite(array).all():
         raise DomainError("permanent requires finite matrix entries")
-    return _permanent_rows(array.tolist())
+    rows = array.tolist()
+    return _permanent_of(len(rows))(*rows)
 
 
 def occupations(total: int, modes: int) -> tuple[tuple[int, ...], ...]:
@@ -103,17 +153,6 @@ def occupations(total: int, modes: int) -> tuple[tuple[int, ...], ...]:
         for rest in occupations(total - first, modes - 1):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def _fact_prod(occ: Sequence[int]) -> int:
-    value = 1
-    for c in occ:
-        value *= math.factorial(c)
-    return value
-
-
-def _sqrt_fact_prod(occ: Sequence[int]) -> float:
-    return math.sqrt(_fact_prod(occ))
 
 
 def _check_transform_args(unitary: ModeUnitary, state: PureState) -> None:
@@ -137,20 +176,30 @@ def transform(unitary: ModeUnitary, state: PureState) -> PureState:
     rows_list = unitary.matrix.tolist()
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.items():
-        cols = [j for j, c in enumerate(occ) for _ in range(c)]
-        in_fact = _fact_prod(occ)
-        reach = {k: [row[j] for j in cols] for k, row in enumerate(rows_list)}
-        live = [k for k, entries in reach.items() if any(entries)]
+        cols: list[int] = []
+        in_fact = 1
+        for j, c in enumerate(occ):
+            cols += [j] * c
+            in_fact *= math.factorial(c)
+        per_of = _permanent_of(len(cols))
+        reach = [[row[j] for j in cols] for row in rows_list]
+        live = [k for k, entries in enumerate(reach) if any(entries)]
         # other rows only give zero permanents; reversed, the ascending row
-        # picks yield targets in canonical occupation order, as before
+        # picks yield targets in canonical occupation order
         for picked in reversed(list(combinations_with_replacement(live, len(cols)))):
-            target = tuple(picked.count(k) for k in range(size))
-            per = _permanent_rows([reach[k] for k in picked])
+            per = per_of(*map(reach.__getitem__, picked))
             if per == 0:
                 continue
+            # the target and its factorial product, from the counts of the picked rows
+            counts = [0] * size
+            out_fact = 1
+            for k in picked:
+                counts[k] += 1
+                out_fact *= counts[k]
+            target = tuple(counts)
             # dividing the permanent by one combined square root first keeps
             # the identity transform (and other integer ratios) exact
-            contribution = amp * (per / math.sqrt(in_fact * _fact_prod(target)))
+            contribution = amp * (per / math.sqrt(in_fact * out_fact))
             out[target] = out.get(target, 0j) + contribution
     return PureState(state.registry, out)
 
@@ -159,26 +208,45 @@ def transform_oracle(unitary: ModeUnitary, state: PureState) -> PureState:
     """Same map as `transform`, by expanding the creation-operator polynomial.
 
     Substitutes a_in(j) -> sum_k U[k][j] a_out(k) one photon at a time and
-    collects monomial coefficients; no permanents are evaluated.
+    collects monomial coefficients; no permanents are evaluated.  The
+    expansion runs on numpy arrays: a monomial is the integer whose digits
+    in base PHOTON_CAP + 1 are its mode counts, so adding a photon to mode k
+    adds that digit's place value.
     """
     _check_transform_args(unitary, state)
     size = state.registry.size
     matrix = unitary.matrix
-    out: dict[tuple[int, ...], complex] = {}
+    place = _COUNT_BASE ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    monomials, coefficients = [], []
     for occ, amp in state.items():
-        poly: dict[tuple[int, ...], complex] = {(0,) * size: amp / _sqrt_fact_prod(occ)}
+        keys = np.zeros(1, dtype=np.int64)
+        coeffs = np.array([amp / math.sqrt(math.prod(map(math.factorial, occ)))])
         for j, photons in enumerate(occ):
-            column = [(k, matrix[k, j]) for k in range(size) if matrix[k, j] != 0]
+            if not photons:
+                continue
+            rows = np.flatnonzero(matrix[:, j])
+            steps, weights = place[rows], matrix[rows, j]
             for _ in range(photons):
-                grown: dict[tuple[int, ...], complex] = {}
-                for monomial, coeff in poly.items():
-                    for k, weight in column:
-                        key = monomial[:k] + (monomial[k] + 1,) + monomial[k + 1 :]
-                        grown[key] = grown.get(key, 0j) + coeff * weight
-                poly = grown
-        for monomial, coeff in poly.items():
-            out[monomial] = out.get(monomial, 0j) + coeff * _sqrt_fact_prod(monomial)
-    return PureState(state.registry, out)
+                if len(keys) > _COLLECT_AT:
+                    keys, coeffs = _collect(keys, coeffs)
+                keys = (keys[:, None] + steps).ravel()
+                coeffs = (coeffs[:, None] * weights).ravel()
+        monomials.append(keys)
+        coefficients.append(coeffs)
+    if not monomials:
+        return PureState(state.registry, {})
+    keys, coeffs = _collect(np.concatenate(monomials), np.concatenate(coefficients))
+    counts = keys[:, None] // place % _COUNT_BASE
+    amplitudes = coeffs * np.sqrt(_FACTORIALS[counts].prod(axis=1))
+    return PureState(state.registry, dict(zip(map(tuple, counts.tolist()), amplitudes.tolist())))
+
+
+def _collect(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct monomial keys, ascending, each with the sum of its coefficients."""
+    order = np.argsort(keys)
+    keys, coeffs = keys[order], coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(coeffs, starts)
 
 
 class Exactly(NamedTuple):
@@ -255,12 +323,6 @@ class HeraldResult:
         return self.branches[0][1]
 
 
-def _group_satisfied(count: int, condition: Condition) -> bool:
-    if isinstance(condition, Exactly):
-        return count == condition.count
-    return count >= 1  # THRESHOLD_CLICK
-
-
 def herald(state: PureState, spec: HeraldSpec) -> HeraldResult:
     """Project onto the detection pattern and split off the surviving state.
 
@@ -271,23 +333,28 @@ def herald(state: PureState, spec: HeraldSpec) -> HeraldResult:
     missing = [label for group, _ in spec.groups for label in group if label not in registry]
     if missing:
         raise HeraldSpecError(f"herald references unregistered mode {missing[0]}")
-    group_indices = [
-        ([registry.index(label) for label in group], condition)
+    # per group: its mode indices and the exact count it needs (None: at least one)
+    tests = [
+        (
+            [registry.index(label) for label in group],
+            condition.count if isinstance(condition, Exactly) else None,
+        )
         for group, condition in spec.groups
     ]
     # registry indices follow canonical label order, so patterns do too
-    measured_pos = sorted(i for indices, _ in group_indices for i in indices)
+    measured_pos = sorted(i for indices, _ in tests for i in indices)
     unmeasured_pos = [i for i in range(registry.size) if i not in measured_pos]
     unmeasured_reg = ModeRegistry(registry.labels[i] for i in unmeasured_pos)
 
     collected: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
     for occ, amp in state.items():
-        if all(
-            _group_satisfied(sum(occ[i] for i in indices), condition)
-            for indices, condition in group_indices
-        ):
-            pattern = tuple(occ[i] for i in measured_pos)
-            remainder = tuple(occ[i] for i in unmeasured_pos)
+        for indices, exact in tests:
+            count = sum(map(occ.__getitem__, indices))
+            if not (count >= 1 if exact is None else count == exact):
+                break
+        else:
+            pattern = tuple(map(occ.__getitem__, measured_pos))
+            remainder = tuple(map(occ.__getitem__, unmeasured_pos))
             collected.setdefault(pattern, {})[remainder] = amp
 
     branches = [

@@ -11,6 +11,11 @@ No other module knows this layout: the placements and `analysis_registry`
 are built from one table of the ports each element acts on, and the
 temporal bins are `focksim.distinguish`'s.
 
+The analysis registries, circuits and herald specs are pure functions of
+immutable settings, so each is kept in a small bounded cache inside its
+public function: every point of a sweep, and any caller that recomputes
+a point, gets the same read-only objects without rebuilding them.
+
 All probabilities are conditional on the prepared mode-3 state: absolute
 pair-generation and collection rates are outside the model, and the
 accidental floor enters only as the additive `background` constant on
@@ -22,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -202,12 +208,23 @@ def apply_bs1(state: PureState) -> tuple[PureState, float]:
     return mode3, result.probability
 
 
+#: Entries kept by each of the tabletop caches below; a sweep reuses one
+#: setting per point, so a few recent settings are enough.
+_CACHE_SIZE = 16
+
+
 def analysis_registry(delayed: bool = True) -> ModeRegistry:
     """Modes of the sign-shift and analysis stage: every port its elements act on.
 
     With `delayed` the registry carries temporal bins 0 and 1 on every mode
-    so a partially distinguishable ancilla can be represented.
+    so a partially distinguishable ancilla can be represented.  Both
+    registries are built once and shared.
     """
+    return _analysis_registry(bool(delayed))
+
+
+@lru_cache(maxsize=2)
+def _analysis_registry(delayed: bool) -> ModeRegistry:
     return ModeRegistry(_binned_labels(_STAGE_PORTS, delayed))
 
 
@@ -234,10 +251,20 @@ def analysis_circuit(registry: ModeRegistry, cfg: ExperimentConfig) -> ModeUnita
     """Sign-shift splitter, analyzer wave plate, then polarizing router.
 
     The signal sits on spatial 7 and the ancilla on spatial 8 before the
-    splitter; each element acts identically on every temporal bin.
+    splitter; each element acts identically on every temporal bin.  The
+    circuit depends only on the registry, `r_v`, `r_h` and `hwp_rotation`;
+    the last few such settings are cached, so every point of a sweep gets
+    the same (read-only) unitary.
     """
-    plate = embed_per_bin(half_wave_plate(cfg.hwp_rotation), _PLATE_PORTS, registry)
-    return compose([sign_shift_splitter(registry, cfg.r_v, cfg.r_h), plate, pbs_router(registry)])
+    return _analysis_circuit(registry, cfg.r_v, cfg.r_h, cfg.hwp_rotation)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _analysis_circuit(
+    registry: ModeRegistry, r_v: float, r_h: float, hwp_rotation: float
+) -> ModeUnitary:
+    plate = embed_per_bin(half_wave_plate(hwp_rotation), _PLATE_PORTS, registry)
+    return compose([sign_shift_splitter(registry, r_v, r_h), plate, pbs_router(registry)])
 
 
 def _detector_pair(registry: ModeRegistry) -> list:
@@ -248,11 +275,13 @@ def _detector_pair(registry: ModeRegistry) -> list:
     ]
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def fourfold_herald(registry: ModeRegistry) -> HeraldSpec:
     """Fourfold coincidence: herald H, detector A, detector B see one photon each.
 
     Photon counts are aggregated over temporal bins, herald-side V modes
-    are unmonitored, and nothing may remain on the analyzer.
+    are unmonitored, and nothing may remain on the analyzer.  The spec of
+    each of the last few registries is cached.
     """
     return HeraldSpec(
         [
@@ -267,8 +296,12 @@ def fourfold_herald(registry: ModeRegistry) -> HeraldSpec:
     )
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def twofold_herald(registry: ModeRegistry) -> HeraldSpec:
-    """Pair coincidence between detector paths A and B, everything else free."""
+    """Pair coincidence between detector paths A and B, everything else free.
+
+    Cached per registry, as `fourfold_herald` is.
+    """
     return HeraldSpec(_detector_pair(registry))
 
 
@@ -422,8 +455,16 @@ def dip_visibility(values: Sequence[float]) -> float:
     return (top - min(data)) / top
 
 
+#: A fringe with less visibility than this is flat: its fitted phase is noise.
+_MIN_FRINGE_VISIBILITY = 1e-9
+
+
 def fringe_phase_shift(table: SweepTable) -> float:
-    """Absolute phase offset between the fourfold and twofold fringes, in [0, pi]."""
+    """Absolute phase offset between the fourfold and twofold fringes, in [0, pi].
+
+    DomainError if either fringe is flat (visibility below 1e-9), where no
+    phase is defined.
+    """
     two = fit_fringe(zip(table.x, table.column("twofold")))
     four = fit_fringe(zip(table.x, table.column("fourfold")))
     return _phase_shift(two, four)
@@ -431,4 +472,14 @@ def fringe_phase_shift(table: SweepTable) -> float:
 
 def _phase_shift(two: FringeFit, four: FringeFit) -> float:
     """`fringe_phase_shift` from the two fits it makes, for callers that hold them."""
+    for name, fit in (("twofold", two), ("fourfold", four)):
+        try:
+            flat = visibility(fit) < _MIN_FRINGE_VISIBILITY
+        except DomainError:  # a fringe flat at zero has no visibility at all
+            flat = True
+        if flat:
+            raise DomainError(
+                f"phase shift undefined: the {name} fringe is flat "
+                f"(visibility below {_MIN_FRINGE_VISIBILITY:g})"
+            )
     return abs(math.remainder(four.phase - two.phase, 2.0 * math.pi))

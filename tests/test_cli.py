@@ -461,6 +461,17 @@ def test_execute_hom_with_undefined_dip_visibility(tmp_path, capsys):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_execute_sweep_phase_with_flat_fringe(tmp_path, capsys):
+    # with r_h = 0 the twofold fringe is flat and the fourfold one is 0: this used to
+    # print phase_shift=2.001072052, the fitted phase of rounding noise, and exit 0
+    out = tmp_path / "x.csv"
+    argv = ["sweep-phase", "--points", "12", "--eta", "0.77", "--r-v", "1.0", "--r-h", "0.0"]
+    assert execute([*argv, "--out", str(out)]) == 2
+    expected = "error: phase shift undefined: the twofold fringe is flat (visibility below 1e-09)\n"
+    assert capsys.readouterr() == ("", expected)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rejected_sweep_axis_runs_no_transform(monkeypatch, capsys):
     calls = []
     original = experiments.transform

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,9 @@ from focksim import (
     tensor_product,
     vacuum_state,
 )
+from focksim.core import PRUNE_THRESHOLD
 from focksim.errors import (
+    FLOAT_MAX,
     DimensionMismatchError,
     DomainError,
     DuplicateModeError,
@@ -110,6 +114,92 @@ def test_pure_state_validates_occupations():
     for bad in (math.nan, complex(0.0, math.inf)):
         with pytest.raises(DomainError):
             PureState(reg, {(0, 2): bad})
+
+
+class _Pairs:
+    """A mapping seen only through items(), so keys may be lists or repeat."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def items(self):
+        return iter(self._pairs)
+
+
+def _reference_amplitudes(size, pairs):
+    """What PureState kept before its fast path: every key checked count by count."""
+    kept = {}
+    for occ, amp in pairs:
+        if len(occ) != size:
+            raise DimensionMismatchError("length")
+        if not all(0 <= c <= FLOAT_MAX and c % 1 == 0 for c in occ):
+            raise DomainError("count")
+        value = complex(amp)
+        if not cmath.isfinite(value):
+            raise DomainError("amplitude")
+        if abs(value) >= PRUNE_THRESHOLD:
+            kept[tuple(int(c) for c in occ)] = value
+    return kept
+
+
+_GOOD_COUNTS = st.one_of(
+    st.integers(0, 3),
+    st.integers(60, 70),  # the fast path takes counts up to 63
+    st.booleans(),
+    st.integers(0, 3).map(np.int64),
+    st.integers(0, 3).map(np.uint8),
+    st.integers(0, 3).map(float),
+    st.integers(0, 3).map(np.float64),
+    st.just(10**300),
+)
+_BAD_COUNTS = st.one_of(
+    st.integers(-3, -1),
+    st.just(np.int64(-1)),
+    st.sampled_from([0.5, 2.25, -1.0, math.nan, math.inf, -math.inf, 10**400]),
+)
+_AMPLITUDES = st.one_of(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=2e-12, allow_nan=False, allow_infinity=False),
+    st.floats(-1.0, 1.0),
+    st.integers(-2, 2),
+    st.sampled_from([math.nan, complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pure_state_fast_path_keeps_every_rule(data):
+    size = data.draw(st.integers(0, 3), label="size")
+    registry = ModeRegistry([mode(s, "H") for s in range(size)])
+    counts = data.draw(st.sampled_from([_GOOD_COUNTS, _BAD_COUNTS]), label="counts")
+    key = st.lists(st.one_of(_GOOD_COUNTS, counts), min_size=size, max_size=size)
+    if data.draw(st.booleans(), label="wrong length"):
+        key = st.lists(_GOOD_COUNTS, min_size=size + 1, max_size=size + 1)
+    key = st.one_of(key.map(tuple), key)
+    pairs = data.draw(st.lists(st.tuples(key, _AMPLITUDES), max_size=4), label="pairs")
+    try:
+        expected = _reference_amplitudes(size, pairs)
+    except (DimensionMismatchError, DomainError) as exc:
+        with pytest.raises(type(exc)):
+            PureState(registry, _Pairs(pairs))
+        return
+    state = PureState(registry, _Pairs(pairs))
+    kept = dict(state.items())
+    assert kept == expected
+    assert all(type(occ) is tuple and all(type(c) is int for c in occ) for occ in kept)
+    assert all(type(a) is complex for a in kept.values())
+    assert state.support() == tuple(sorted(expected))
+    for occ, amp in expected.items():
+        assert state.amplitude(occ) == amp
+        assert state.amplitude(list(occ)) == amp
+
+
+def test_pure_state_never_prunes_a_nan():
+    reg = pair_registry()
+    for occ in ((0, 2), (0, 2.0), (0, True), [0, 1]):
+        for bad in (math.nan, complex(math.nan, 0.0), complex(1e-20, math.nan)):
+            with pytest.raises(DomainError, match="must be finite"):
+                PureState(reg, _Pairs([(occ, bad)]))
 
 
 def test_normalize_scalar_factor():

@@ -33,6 +33,7 @@ from focksim import (
     transform_oracle,
     vacuum_state,
 )
+from focksim.evolve import _CLOSED_FORMS, _ryser
 from focksim.errors import (
     DimensionMismatchError,
     DomainError,
@@ -88,6 +89,15 @@ def test_permanent_matches_permutation_sum():
         for _ in range(8):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             assert permanent(a) == pytest.approx(permanent_by_permutations(a), abs=1e-9)
+
+
+def test_closed_form_permanents_match_gray_code_ryser():
+    rng = np.random.default_rng(12)
+    assert _CLOSED_FORMS[0]() == 1.0
+    for n in range(1, len(_CLOSED_FORMS)):
+        for _ in range(50):
+            rows = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).tolist()
+            assert abs(_CLOSED_FORMS[n](*rows) - _ryser(rows)) <= 1e-12
 
 
 def test_permanent_rejects_non_square():
@@ -446,3 +456,45 @@ def test_transform_matches_oracle_on_sparse_circuits(data):
     state = PureState(reg, amplitudes)
     u = compose(stages)
     assert max_amplitude_difference(transform(u, state), transform_oracle(u, state)) < 1e-9
+
+
+def expand_one_photon_at_a_time(unitary: ModeUnitary, state: PureState) -> dict:
+    """`transform_oracle`'s definition as a plain loop over tuple monomials."""
+    size = state.registry.size
+    out = {}
+    for occ, amp in state.items():
+        poly = {(0,) * size: amp / math.sqrt(math.prod(map(math.factorial, occ)))}
+        for j, photons in enumerate(occ):
+            for _ in range(photons):
+                grown = {}
+                for monomial, coeff in poly.items():
+                    for k in range(size):
+                        key = monomial[:k] + (monomial[k] + 1,) + monomial[k + 1 :]
+                        grown[key] = grown.get(key, 0j) + coeff * complex(unitary.matrix[k, j])
+                poly = grown
+        for monomial, coeff in poly.items():
+            scale = math.sqrt(math.prod(map(math.factorial, monomial)))
+            out[monomial] = out.get(monomial, 0j) + coeff * scale
+    return out
+
+
+def test_oracle_matches_its_loop_definition():
+    # the array expansion keys monomials by base-9 digits and merges terms in
+    # another order; the shapes reach 16 modes and 8 photons in one mode
+    rng = np.random.default_rng(5)
+    cases = [(16, [[0] * 15 + [1], [1] + [0] * 15]), (2, [[8, 0], [3, 5]]), (3, [[0, 0, 0]])]
+    for _ in range(25):
+        dim = int(rng.integers(1, 7))
+        components = []
+        for _ in range(int(rng.integers(1, 4))):
+            occ = [0] * dim
+            for k in rng.integers(0, dim, size=int(rng.integers(0, 5))):
+                occ[k] += 1
+            components.append(occ)
+        cases.append((dim, components))
+    for dim, components in cases:
+        weights = rng.standard_normal(len(components)) + 1j * rng.standard_normal(len(components))
+        state = PureState(line_registry(dim), dict(zip(map(tuple, components), weights)))
+        for u in (random_unitary(rng, dim), ModeUnitary(np.eye(dim)[rng.permutation(dim)])):
+            expected = PureState(state.registry, expand_one_photon_at_a_time(u, state))
+            assert max_amplitude_difference(transform_oracle(u, state), expected) < 1e-12

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from focksim import (
     ExperimentConfig,
     FringeFit,
     SweepTable,
+    analysis_circuit,
+    analysis_registry,
     apply_bs1,
     dip_visibility,
     fidelity,
     fit_fringe,
+    fourfold_herald,
     fourfold_probability,
     fringe_phase_shift,
     hom_probability,
@@ -20,6 +24,7 @@ from focksim import (
     sweep_delay,
     sweep_hom_delay,
     sweep_phase,
+    twofold_herald,
     twofold_probability,
     visibility,
 )
@@ -229,6 +234,67 @@ def test_sweep_phase_fourfold_law_on_grid():
     assert fringe_phase_shift(table) == pytest.approx(math.pi, abs=1e-9)
 
 
+# ------------------------------------------------------------------ caches
+
+def test_equal_settings_share_one_tabletop():
+    registry = analysis_registry()
+    assert registry is analysis_registry(delayed=True)
+    assert analysis_registry(delayed=False) is analysis_registry(delayed=0)
+    cfg = ExperimentConfig(r_v=0.3, r_h=0.6, hwp_rotation=22.5)
+    circuit = analysis_circuit(registry, cfg)
+    assert circuit is analysis_circuit(registry, ExperimentConfig(r_v=0.3, r_h=0.6, hwp_rotation=22.5))
+    with pytest.raises(ValueError):
+        circuit.matrix[0, 0] = 0.0  # shared, so it must stay read-only
+    assert fourfold_herald(registry) is fourfold_herald(analysis_registry())
+    assert twofold_herald(registry) is twofold_herald(registry)
+    assert fourfold_herald(registry) is not twofold_herald(registry)
+
+
+def test_only_the_circuit_fields_key_the_circuit():
+    registry = analysis_registry()
+    cfg = ExperimentConfig(r_v=0.4, r_h=0.45)
+    circuit = analysis_circuit(registry, cfg)
+    assert analysis_circuit(registry, replace(cfg, background=0.3, tau_coh_fs=42.0)) is circuit
+    for field, value in (("r_v", 0.41), ("r_h", 0.46), ("hwp_rotation", 40.0)):
+        assert analysis_circuit(registry, replace(cfg, **{field: value})) is not circuit
+    assert analysis_circuit(analysis_registry(delayed=False), cfg).dim == registry.size // 2
+
+
+def test_caches_stay_within_their_bound():
+    registries = (analysis_registry(True), analysis_registry(False))
+    for i in range(100):
+        cfg = ExperimentConfig(r_v=i / 100.0, r_h=0.5, hwp_rotation=float(i))
+        for registry in registries:
+            analysis_circuit(registry, cfg)
+            fourfold_herald(registry)
+            twofold_herald(registry)
+    for cached in (
+        experiments._analysis_circuit,
+        experiments.fourfold_herald,
+        experiments.twofold_herald,
+    ):
+        assert cached.cache_info().currsize <= experiments._CACHE_SIZE
+    assert experiments._analysis_registry.cache_info().currsize <= 2
+
+
+def test_signed_zero_rotations_share_a_circuit_that_either_would_build():
+    # 0.0 == -0.0 with equal hashes, so both settings read one cache entry;
+    # built afresh, each gives the same matrix and the same probabilities
+    registry = analysis_registry()
+    plus, minus = ExperimentConfig(hwp_rotation=0.0), ExperimentConfig(hwp_rotation=-0.0)
+    assert analysis_circuit(registry, plus) is analysis_circuit(registry, minus)
+    built = {}
+    for cfg in (plus, minus):
+        experiments._analysis_circuit.cache_clear()
+        matrix = analysis_circuit(registry, cfg).matrix
+        values = [fourfold_probability(t, eta, cfg) for t in (0.0, 1.0) for eta in (0.3, 1.0)]
+        values += [twofold_probability(t, cfg) for t in (0.5, 2.0)]
+        values += sweep_hom_delay([-80.0, 0.0, 30.0], cfg, 0.9).column("fourfold")
+        built[math.copysign(1.0, cfg.hwp_rotation)] = (matrix, values)
+    assert np.array_equal(built[1.0][0], built[-1.0][0])
+    assert built[1.0][1] == built[-1.0][1]
+
+
 # ------------------------------------------------------------------ fitting
 
 def model_samples(amplitude, offset, phase, count=13):
@@ -314,6 +380,27 @@ def test_phase_shift_between_fringes_is_pi():
     assert abs(math.remainder(four.phase - two.phase, 2 * math.pi)) == pytest.approx(
         math.pi, abs=1e-9
     )
+
+
+def test_phase_shift_of_a_flat_fringe_is_undefined():
+    thetas = [2.0 * math.pi * i / 11.0 for i in range(12)]
+    fringe = [0.25 * math.sin(t / 2.0) ** 2 for t in thetas]
+    noise = [0.25 + 1e-17 * math.cos(3.0 * t) for t in thetas]  # visibility ~1e-16
+    for twofold, fourfold, flat in ((noise, fringe, "twofold"), (fringe, [0.0] * 12, "fourfold")):
+        table = SweepTable("theta", thetas, {"twofold": twofold, "fourfold": fourfold})
+        with pytest.raises(DomainError, match=f"the {flat} fringe is flat"):
+            fringe_phase_shift(table)
+    # a faint fringe well above the floor keeps its phase
+    faint = [0.25 + 1e-6 * math.cos(t) for t in thetas]
+    table = SweepTable("theta", thetas, {"twofold": fringe, "fourfold": faint})
+    assert fringe_phase_shift(table) == pytest.approx(math.pi, abs=1e-9)
+
+
+def test_sweep_phase_at_zero_h_reflectivity_has_no_phase_shift():
+    thetas = [2.0 * math.pi * i / 11.0 for i in range(12)]
+    table = sweep_phase(thetas, 0.77, ExperimentConfig(r_v=1.0, r_h=0.0))
+    with pytest.raises(DomainError, match="phase shift undefined"):
+        fringe_phase_shift(table)
 
 
 def test_enhancement_and_suppression_ratios():
