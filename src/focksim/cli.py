@@ -266,6 +266,8 @@ def _read_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

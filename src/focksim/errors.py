@@ -63,7 +63,7 @@ class ConfigError(FockSimError):
 
 
 class ConfigParseError(ConfigError):
-    """The configuration file is not valid JSON."""
+    """The configuration file cannot be read or is not valid JSON."""
 
 
 class ConfigValidationError(ConfigError):

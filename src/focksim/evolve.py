@@ -6,11 +6,12 @@ m_k times and column j n_j times.  `transform` is the engine: it
 enumerates only the output rows an input component can reach (rows with a
 non-zero entry in its input columns), builds each target occupation and
 its factorial product from the counts of the picked rows, and evaluates
-the permanent in closed form for n <= 4 photons and by Gray-code Ryser
-beyond.  `transform_oracle` is the check: it re-derives the same map by
-expanding the creation-operator polynomial on numpy arrays, evaluates no
-permanent and shares no evaluation code with `transform`, so the two routes
-stay independent checks of each other.
+the permanent in closed form for n <= 4 photons and beyond by Glynn's
+formula, one numpy sum over blocks of sign vectors.  `transform_oracle` is
+the check: it re-derives the same map by expanding the creation-operator
+polynomial on numpy arrays, evaluates no permanent and shares no
+evaluation code with `transform`, so the two routes stay independent
+checks of each other.
 
 The engine knows no tabletop: `ns_pipeline` places its splitter on two
 ports of its own, and the analysis stage lives in `focksim.experiments`.
@@ -18,6 +19,7 @@ ports of its own, and the analysis stage lives in `focksim.experiments`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from enum import Enum
 from itertools import combinations_with_replacement
@@ -49,36 +51,27 @@ _FACTORIALS = np.array([math.factorial(c) for c in range(_COUNT_BASE)], dtype=fl
 _COLLECT_AT = 256
 
 
-def _ryser(rows: Sequence[Sequence[complex]]) -> complex:
-    """Permanent of an n x n matrix (n >= 1) by Ryser's formula.
+#: Sign vectors `_glynn` sums at once: memory stays near this many rows of n entries.
+_GLYNN_BLOCK = 1 << 11
 
-    Gray-code subset updates: O(2^n * n) operations.
+
+def _glynn(*rows) -> complex:
+    """Permanent of n >= 1 rows by Glynn's formula, O(2^n * n^2).
+
+    Sums prod(delta) * prod_i (sum_j delta_j a_ij) / 2^(n-1) over the sign
+    vectors delta with delta_0 = +1, one block of sign vectors at a time.
     """
+    matrix = np.array(rows, dtype=complex)
     n = len(rows)
-    cols = list(zip(*rows))
-    sums = [0j] * n
+    count = 1 << (n - 1)
     total = 0j
-    gray = 0
-    popcount = 0
-    for k in range(1, 1 << n):
-        new_gray = k ^ (k >> 1)
-        bit = gray ^ new_gray
-        j = bit.bit_length() - 1
-        col = cols[j]
-        if new_gray & bit:
-            for i in range(n):
-                sums[i] += col[i]
-            popcount += 1
-        else:
-            for i in range(n):
-                sums[i] -= col[i]
-            popcount -= 1
-        prod = 1 + 0j
-        for s in sums:
-            prod *= s
-        total += -prod if (popcount & 1) else prod
-        gray = new_gray
-    return -total if (n & 1) else total
+    with np.errstate(over="ignore", invalid="ignore"):  # permanent() rejects a non-finite result
+        for start in range(0, count, _GLYNN_BLOCK):
+            index = np.arange(start, min(start + _GLYNN_BLOCK, count))
+            # bit j of 2 * index is delta_j's sign bit; bit 0 is clear, so delta_0 = +1
+            signs = 1 - 2 * ((2 * index[:, None] >> np.arange(n)) & 1)
+            total += (signs.prod(axis=1) * (signs @ matrix.T).prod(axis=1)).sum()
+    return total / count
 
 
 def _per0() -> complex:
@@ -121,10 +114,8 @@ _CLOSED_FORMS = (_per0, _per1, _per2, _per3, _per4)
 
 
 def _permanent_of(n: int) -> Callable[..., complex]:
-    """Permanent of n rows passed as n arguments: a closed form, else Ryser."""
-    if n < len(_CLOSED_FORMS):
-        return _CLOSED_FORMS[n]
-    return lambda *rows: _ryser(rows)
+    """Permanent of n rows passed as n arguments: a closed form, else Glynn."""
+    return _CLOSED_FORMS[n] if n < len(_CLOSED_FORMS) else _glynn
 
 
 def permanent(matrix) -> complex:
@@ -138,7 +129,10 @@ def permanent(matrix) -> complex:
     if not np.isfinite(array).all():
         raise DomainError("permanent requires finite matrix entries")
     rows = array.tolist()
-    return _permanent_of(len(rows))(*rows)
+    result = _permanent_of(len(rows))(*rows)
+    if not cmath.isfinite(result):
+        raise DomainError(f"permanent is not finite ({result}): the entries are too large")
+    return result
 
 
 def occupations(total: int, modes: int) -> tuple[tuple[int, ...], ...]:

@@ -427,8 +427,14 @@ def fit_fringe(samples: Iterable[tuple[float, float]]) -> FringeFit:
     if phase == -math.pi:
         phase = math.pi
     offset = c - amplitude / 2.0
-    residual = math.sqrt(float(np.mean((design @ coeffs - ys) ** 2)))
-    return FringeFit(amplitude, offset, phase, residual)
+    with np.errstate(over="ignore", invalid="ignore"):  # a curve past the float range
+        residuals = design @ coeffs - ys
+    # hypot scales as it sums, so squares of large residuals cannot overflow
+    residual = math.hypot(*residuals.tolist()) / math.sqrt(len(pairs))
+    fit = FringeFit(amplitude, offset, phase, residual)
+    if not all(map(math.isfinite, (amplitude, offset, phase, residual))):
+        raise DomainError(f"fringe fit is not finite: {fit}")
+    return fit
 
 
 def visibility(fit: FringeFit) -> float:
@@ -449,6 +455,8 @@ def dip_visibility(values: Sequence[float]) -> float:
     if not all(map(is_finite, data)):
         raise DomainError("dip visibility undefined: values must be finite")
     data = [float(v) for v in data]
+    if min(data) < 0.0:
+        raise DomainError("dip visibility undefined: values must be non-negative")
     top = max(data)
     if top <= 0.0:
         raise DomainError("dip visibility undefined: all values are zero")

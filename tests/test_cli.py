@@ -293,6 +293,21 @@ def test_execute_transform_with_split_reflectivities(capsys):
     assert "amplitude=-0.628450910" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags,stdout",
+    [
+        ("--n 4 --r 0.5", "amplitude=-0.530330086 probability=0.281250000\n"),
+        ("--n 6 --r 0.5", "amplitude=-0.441941738 probability=0.195312500\n"),
+        ("--n 7 --r 0.8", "amplitude=-0.307200000 probability=0.094371840\n"),
+        ("--n 4 --m 3 --r-v 0.3 --r-h 0.7", "amplitude=-0.048117045 probability=0.002315250\n"),
+    ],
+)
+def test_execute_transform_beyond_the_closed_forms(capsys, flags, stdout):
+    # with the ancilla these circuits hold 5 to 8 photons, past the n <= 4 closed forms
+    assert execute(["transform", *flags.split()]) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_execute_sweep_phase_writes_csv_and_phase(tmp_path, capsys):
     out = tmp_path / "phase.csv"
     code = execute(["sweep-phase", "--points", "25", "--eta", "1.0", "--out", str(out)])
@@ -462,14 +477,20 @@ def test_execute_hom_with_undefined_dip_visibility(tmp_path, capsys):
 
 
 def test_execute_sweep_phase_with_flat_fringe(tmp_path, capsys):
-    # with r_h = 0 the twofold fringe is flat and the fourfold one is 0: this used to
-    # print phase_shift=2.001072052, the fitted phase of rounding noise, and exit 0
     out = tmp_path / "x.csv"
-    argv = ["sweep-phase", "--points", "12", "--eta", "0.77", "--r-v", "1.0", "--r-h", "0.0"]
-    assert execute([*argv, "--out", str(out)]) == 2
-    expected = "error: phase shift undefined: the twofold fringe is flat (visibility below 1e-09)\n"
-    assert capsys.readouterr() == ("", expected)
-    assert list(tmp_path.iterdir()) == []
+    for flags, fringe in (
+        # with r_h = 0 the twofold fringe is flat and the fourfold one is 0: this used to
+        # print phase_shift=2.001072052, the fitted phase of rounding noise, and exit 0
+        (["--points", "12", "--eta", "0.77", "--r-v", "1.0", "--r-h", "0.0"], "twofold"),
+        # the fit's squared residuals used to overflow, a RuntimeWarning under -W error
+        (["--points", "4", "--background", "1e300"], "fourfold"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert execute(["sweep-phase", *flags, "--out", str(out)]) == 2
+        expected = f"error: phase shift undefined: the {fringe} fringe is flat"
+        assert capsys.readouterr() == ("", expected + " (visibility below 1e-09)\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_rejected_sweep_axis_runs_no_transform(monkeypatch, capsys):
@@ -648,6 +669,18 @@ def test_one_window_flag_needs_a_two_element_config_range(tmp_path, capsys):
         path = write_json(tmp_path, {"experiment": "hom", "range_fs": bad})
         assert execute(["hom", "--config", path, "--from", "0"]) == 2
         assert "key 'range_fs' must be a two-element numeric list" in capsys.readouterr().err
+
+
+def test_execute_unreadable_config_exits_two(tmp_path, capsys):
+    # each used to exit 1 as an internal error (FileNotFoundError, IsADirectoryError,
+    # UnicodeDecodeError); a config the run cannot use is a configuration problem
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"experiment": "sweep-phase"}'.encode("utf-16-le"))
+    for path in (tmp_path / "absent.json", tmp_path, utf16):
+        assert execute(["sweep-phase", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read config {path}: ")
 
 
 def test_execute_internal_errors_exit_one(tmp_path, monkeypatch, capsys):

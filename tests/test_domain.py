@@ -94,7 +94,7 @@ ENTRY_POINTS = {
     "fit_fringe.theta": ("real", lambda v: fs.fit_fringe([*SAMPLES, (v, 0.5)])),
     "fit_fringe.y": ("real", lambda v: fs.fit_fringe([*SAMPLES, (1.0, v)])),
     "visibility": ("real", lambda v: fs.visibility(fs.FringeFit(v, 0.0, 0.0, 0.0))),
-    "dip_visibility": ("real", lambda v: fs.dip_visibility([1.0, v, 0.5])),
+    "dip_visibility": ("non_negative", lambda v: fs.dip_visibility([1.0, v, 0.5])),
 }
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from focksim import (
     transform_oracle,
     vacuum_state,
 )
-from focksim.evolve import _CLOSED_FORMS, _ryser
+from focksim.evolve import _CLOSED_FORMS, _glynn
 from focksim.errors import (
     DimensionMismatchError,
     DomainError,
@@ -57,6 +59,27 @@ def permanent_by_permutations(matrix) -> complex:
             product *= a[i, j]
         total += product
     return total
+
+
+def exact_permanent(matrix) -> complex:
+    """Ryser's formula in exact rational arithmetic on the float entries, rounded once."""
+    entries = [
+        [(Fraction(z.real), Fraction(z.imag)) for z in row]
+        for row in np.asarray(matrix, dtype=complex).tolist()
+    ]
+    n = len(entries)
+    total_re = total_im = Fraction(0)
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            prod_re, prod_im = Fraction(1), Fraction(0)
+            for row in entries:
+                s_re = sum(row[j][0] for j in subset)
+                s_im = sum(row[j][1] for j in subset)
+                prod_re, prod_im = prod_re * s_re - prod_im * s_im, prod_re * s_im + prod_im * s_re
+            sign = -1 if (n - size) % 2 else 1
+            total_re += sign * prod_re
+            total_im += sign * prod_im
+    return complex(float(total_re), float(total_im))
 
 
 def random_unitary(rng, dim):
@@ -85,19 +108,52 @@ def test_permanent_small_closed_forms():
 
 def test_permanent_matches_permutation_sum():
     rng = np.random.default_rng(11)
-    for n in range(1, 6):
+    for n in range(1, 8):
         for _ in range(8):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             assert permanent(a) == pytest.approx(permanent_by_permutations(a), abs=1e-9)
 
 
-def test_closed_form_permanents_match_gray_code_ryser():
+@pytest.mark.parametrize("n", range(5, 15))
+def test_permanent_of_known_matrices_is_exact(n):
+    # n = 13 and 14 sum 2^12 and 2^13 sign vectors, more than one block
+    rng = np.random.default_rng(n)
+    ones = np.ones((n, n))
+    diagonal = rng.integers(-3, 4, size=n) + 1j * rng.integers(-3, 4, size=n)
+    derangements = sum((-1) ** k * math.perm(n, n - k) for k in range(n + 1))
+    assert permanent(ones) == math.factorial(n)
+    assert permanent(ones - np.eye(n)) == derangements
+    assert permanent(np.diag(diagonal)) == np.prod(diagonal)
+    assert permanent(np.eye(n)[rng.permutation(n)]) == 1.0
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_permanent_matches_exact_rational_reference(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = exact_permanent(a)
+        assert abs(permanent(a) - want) <= 1e-13 * abs(want)
+
+
+def test_closed_form_permanents_match_glynn():
     rng = np.random.default_rng(12)
     assert _CLOSED_FORMS[0]() == 1.0
     for n in range(1, len(_CLOSED_FORMS)):
         for _ in range(50):
             rows = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).tolist()
-            assert abs(_CLOSED_FORMS[n](*rows) - _ryser(rows)) <= 1e-12
+            assert abs(_CLOSED_FORMS[n](*rows) - _glynn(*rows)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n,entry", [(3, 1e110), (5, 1e70), *((n, 10.0 ** (320 // n + 1)) for n in range(2, 13))]
+)
+def test_permanent_rejects_a_non_finite_result(n, entry):
+    # finite entries whose permanent overflows used to give inf, or nan from inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            permanent(np.full((n, n), entry))
 
 
 def test_permanent_rejects_non_square():
@@ -376,7 +432,8 @@ def test_ns_amplitude_pol_examples():
 
 
 def test_closed_form_matches_pipeline_single_polarization():
-    for n in range(5):
+    # up to n + 1 = 8 photons with the ancilla, so n >= 4 runs the n >= 5 permanents
+    for n in range(8):
         for r in np.linspace(0.1, 0.9, 9):
             want = ns_amplitude(n, float(r))
             got = ns_pipeline(0, n, float(r), float(r))
@@ -385,10 +442,8 @@ def test_closed_form_matches_pipeline_single_polarization():
 
 def test_closed_form_matches_pipeline_two_polarizations():
     rng = np.random.default_rng(3)
-    for m in range(4):
-        for n in range(4 - m + 1):
-            if m + n > 4:
-                continue
+    for m in range(8):
+        for n in range(8 - m):
             r_v, r_h = rng.uniform(0.1, 0.9, size=2)
             want = ns_amplitude_pol(m, n, float(r_v), float(r_h))
             got = ns_pipeline(m, n, float(r_v), float(r_h))

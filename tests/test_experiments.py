@@ -1,8 +1,11 @@
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from focksim import (
     ExperimentConfig,
@@ -341,6 +344,26 @@ def test_fit_fringe_rejects_degenerate_inputs():
     for bad in ((math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5)):
         with pytest.raises(DomainError):
             fit_fringe([*samples, bad])
+
+
+EIGHT_PHASES = [2.0 * math.pi * k / 8.0 for k in range(8)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ys=st.lists(st.floats(-1e308, 1e308), min_size=8, max_size=8))
+@example(ys=[1e200 * math.cos(t) ** 2 for t in EIGHT_PHASES])
+def test_fit_fringe_stays_finite_at_any_magnitude(ys):
+    # samples near 1e200 used to overflow the squared residuals: a RuntimeWarning and
+    # rms_residual=inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fit = fit_fringe(zip(EIGHT_PHASES, ys))
+        except DomainError:
+            # only a fit whose curve itself leaves the float range may be refused
+            assert max(map(abs, ys)) > 1e300
+            return
+    assert all(map(math.isfinite, astuple(fit)))
 
 
 def test_visibility_values():
