@@ -11,7 +11,7 @@ the delay.  Every check holds to 1e-12.
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focksim import (
@@ -46,7 +46,6 @@ from focksim.experiments import (
     HERALD_SPATIAL,
     MODE3_SPATIAL,
 )
-from focksim.core import PRUNE_THRESHOLD
 
 TOL = 1e-12
 
@@ -80,15 +79,6 @@ def test_fourfold_is_linear_in_eta_squared(cfg, pair, eta):
     span=st.floats(1.2 * math.pi, 2.0 * math.pi),
     points=st.integers(5, 9),
 )
-# a fringe of ~1e-24 whose amplitudes straddle PRUNE_THRESHOLD: exact to TOL,
-# but its fitted phase is set by which of them were dropped
-@example(
-    cfg=ExperimentConfig(r_v=1.0, r_h=0.5, hwp_rotation=1e-10, tau_coh_fs=1.0, background=0.0),
-    eta=0.0,
-    start=0.0,
-    span=4.0,
-    points=5,
-)
 def test_phase_fringes_are_exact(cfg, eta, start, span, points):
     thetas = [float(t) for t in np.linspace(start, start + span, points)]
     table = sweep_phase(thetas, eta, cfg)
@@ -97,10 +87,8 @@ def test_phase_fringes_are_exact(cfg, eta, start, span, points):
     assert two.rms_residual <= TOL
     assert four.rms_residual <= TOL
     # the fitted phase of a fringe whose contrast sits near rounding noise is
-    # that noise, and so is the phase of a fringe no taller than the pruned
-    # amplitudes, so the twofold phase is pinned where the fringe is visible
-    visible = two.amplitude >= 1e-2 * (two.amplitude + 2.0 * two.offset)
-    if visible and two.amplitude > PRUNE_THRESHOLD:
+    # that noise, so the twofold phase is pinned where the fringe is visible
+    if two.amplitude >= 1e-2 * (two.amplitude + 2.0 * two.offset):
         assert abs(two.phase) <= TOL
 
 
