@@ -19,6 +19,7 @@ internal errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -324,6 +325,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="focksim",

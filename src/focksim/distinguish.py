@@ -40,14 +40,10 @@ def overlap_from_delay(delay_fs: float, tau_coh_fs: float = DEFAULT_TAU_COH_FS) 
         raise DomainError(f"delay must be finite, got {delay_fs}")
     if not (is_finite(tau_coh_fs) and tau_coh_fs > 0.0):
         raise DomainError(f"coherence time must be positive and finite, got {tau_coh_fs}")
-    delay_fs, tau_coh_fs = float(delay_fs), float(tau_coh_fs)  # ints too large to square
-    denominator = 2.0 * tau_coh_fs * tau_coh_fs
-    if denominator == 0.0:
-        raise DomainError(f"coherence time {tau_coh_fs} is so small that 2 tau^2 underflows to 0")
-    if math.isinf(denominator):  # delay^2 may overflow too: inf / inf would give NaN
-        ratio = delay_fs / tau_coh_fs
-        return math.exp(-0.5 * ratio * ratio)
-    return math.exp(-(delay_fs * delay_fs) / denominator)
+    # squaring the ratio, not delay and tau apart, leaves no inf/inf or x/0; as
+    # Python floats, a square past the float range is a quiet inf and exp gives 0
+    ratio = float(delay_fs) / float(tau_coh_fs)
+    return math.exp(-0.5 * ratio * ratio)
 
 
 def _binned_labels(ports: Sequence[tuple[int, str]], delayed: bool) -> list[ModeLabel]:
@@ -68,7 +64,7 @@ def extend_ancilla(registry: ModeRegistry, ancilla_mode: ModeLabel, eta: float) 
     delayed = ModeLabel(ancilla_mode.spatial, ancilla_mode.pol, _DELAYED)
     amplitudes = {
         registry.occupation({ancilla_mode: 1}): complex(eta),
-        registry.occupation({delayed: 1}): complex(math.sqrt(max(0.0, 1.0 - eta * eta))),
+        registry.occupation({delayed: 1}): complex(math.sqrt(1.0 - eta * eta)),
     }
     return PureState(registry, amplitudes)
 

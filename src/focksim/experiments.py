@@ -11,10 +11,10 @@ No other module knows this layout: the placements and `analysis_registry`
 are built from one table of the ports each element acts on, and the
 temporal bins are `focksim.distinguish`'s.
 
-The analysis registries, circuits and herald specs are pure functions of
-immutable settings, so each is kept in a small bounded cache inside its
-public function: every point of a sweep, and any caller that recomputes
-a point, gets the same read-only objects without rebuilding them.
+The registries and the bunching condition are module constants.  Circuits
+and herald specs are pure functions of immutable settings, so each is kept
+in a small bounded cache inside its public function: every point of a sweep,
+and any caller that recomputes a point, gets the same read-only objects.
 
 All probabilities are conditional on the prepared mode-3 state: absolute
 pair-generation and collection rates are outside the model, and the
@@ -147,36 +147,37 @@ class FringeFit:
     rms_residual: float
 
 
+#: Modes 1 and 2 in both polarizations: the one registry of both pair states.
+_PAIR_REGISTRY = ModeRegistry([mode(s, p) for s in PAIR_IN for p in (H, V)])
+
+
+def _pair_state(terms: Sequence[tuple[str, str, complex]]) -> PureState:
+    """Sum of amplitude |1 pol_1>|1 pol_2> / sqrt(2) over (pol_1, pol_2, amplitude) terms."""
+    inv = 1.0 / math.sqrt(2.0)
+    occupation = _PAIR_REGISTRY.occupation
+    return PureState(
+        _PAIR_REGISTRY,
+        {
+            occupation({mode(_FIRST, pol_1): 1, mode(_SECOND, pol_2): 1}): inv * amplitude
+            for pol_1, pol_2, amplitude in terms
+        },
+    )
+
+
 def input_phi_theta(theta: float) -> PureState:
     """Pair state (|1V>|1V> + e^{i theta} |1H>|1H>) / sqrt(2) on modes 1 and 2."""
     if not is_finite(theta):
         raise DomainError(f"theta must be finite, got {theta}")
-    registry = _pair_registry()
-    inv = 1.0 / math.sqrt(2.0)
-    return PureState(
-        registry,
-        {
-            registry.occupation({mode(_FIRST, V): 1, mode(_SECOND, V): 1}): inv,
-            registry.occupation({mode(_FIRST, H): 1, mode(_SECOND, H): 1}): inv * cmath.exp(1j * theta),
-        },
-    )
+    return _pair_state(((V, V, 1.0), (H, H, cmath.exp(1j * theta))))
 
 
 def input_psi_plus() -> PureState:
     """Pair state (|1V>|1H> + |1H>|1V>) / sqrt(2) on modes 1 and 2."""
-    registry = _pair_registry()
-    inv = 1.0 / math.sqrt(2.0)
-    return PureState(
-        registry,
-        {
-            registry.occupation({mode(_FIRST, V): 1, mode(_SECOND, H): 1}): inv,
-            registry.occupation({mode(_FIRST, H): 1, mode(_SECOND, V): 1}): inv,
-        },
-    )
+    return _pair_state(((V, H, 1.0), (H, V, 1.0)))
 
 
-def _pair_registry() -> ModeRegistry:
-    return ModeRegistry([mode(s, p) for s in PAIR_IN for p in (H, V)])
+#: Bunched: no photon leaves the balanced splitter on the second pair port.
+_BUNCHED = HeraldSpec([([mode(_SECOND, H), mode(_SECOND, V)], ZERO)])
 
 
 def apply_bs1(state: PureState) -> tuple[PureState, float]:
@@ -196,9 +197,8 @@ def apply_bs1(state: PureState) -> tuple[PureState, float]:
         [mode(_FIRST, H), mode(_SECOND, H), mode(_FIRST, V), mode(_SECOND, V)],
         registry,
     )
-    evolved = transform(splitter, state)
-    result = herald(evolved, HeraldSpec([([mode(_SECOND, H), mode(_SECOND, V)], ZERO)]))
-    if result.probability == 0.0 or not result.branches:
+    result = herald(transform(splitter, state), _BUNCHED)
+    if not result.branches:
         raise ZeroStateError("no component has both photons in mode 3")
     conditional, _ = normalize(result.conditional_state)
     mode3 = relabel(
@@ -207,6 +207,9 @@ def apply_bs1(state: PureState) -> tuple[PureState, float]:
     )
     return mode3, result.probability
 
+
+#: The analysis stage's registries without and with the delayed bin, indexed by `delayed`.
+_ANALYSIS_REGISTRIES = tuple(ModeRegistry(_binned_labels(_STAGE_PORTS, d)) for d in (False, True))
 
 #: Entries kept by each of the tabletop caches below; a sweep reuses one
 #: setting per point, so a few recent settings are enough.
@@ -220,12 +223,7 @@ def analysis_registry(delayed: bool = True) -> ModeRegistry:
     so a partially distinguishable ancilla can be represented.  Both
     registries are built once and shared.
     """
-    return _analysis_registry(bool(delayed))
-
-
-@lru_cache(maxsize=2)
-def _analysis_registry(delayed: bool) -> ModeRegistry:
-    return ModeRegistry(_binned_labels(_STAGE_PORTS, delayed))
+    return _ANALYSIS_REGISTRIES[bool(delayed)]
 
 
 def sign_shift_splitter(registry: ModeRegistry, r_v: float, r_h: float) -> ModeUnitary:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -334,6 +335,23 @@ def test_sweep_phase_fits_each_fringe_once(monkeypatch, capsys):
         "phase_shift=3.141592654 twofold_amplitude=0.250000000 fourfold_amplitude=0.125000000\n"
     )
     assert len(calls) == 2
+
+
+def test_execute_builds_the_parser_once(monkeypatch, capsys):
+    # every call rebuilt the whole argparse tree: five subparsers, about 45 flags
+    assert execute(["ns-amplitude", "--n", "2", "--r", "0.5"]) == 0
+    added = []
+    original = argparse._ActionsContainer._add_action
+
+    def counting(container, action):
+        added.append(action)
+        return original(container, action)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "_add_action", counting)
+    assert execute(["ns-amplitude", "--n", "2", "--r", "0.5"]) == 0
+    assert execute(["sweep-phase", "--points", "4"]) == 0
+    assert added == []
+    assert capsys.readouterr().out.startswith("amplitude=-0.353553391\n")
 
 
 def test_execute_sweep_phase_byte_identical_runs(tmp_path):

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focksim import (
     ExperimentConfig,
@@ -42,11 +45,51 @@ def test_overlap_requires_positive_coherence_time():
     for delay, tau in ((math.nan, 100.0), (0.0, math.nan), (math.inf, 100.0), (0.0, math.inf)):
         with pytest.raises(DomainError):
             overlap_from_delay(delay, tau)
-    # 2 tau^2 underflows to 0 here; this used to raise ZeroDivisionError
-    with pytest.raises(DomainError):
-        overlap_from_delay(0.0, 1e-200)
-    with pytest.raises(DomainError):
-        sweep_delay(0.0, [0.0], ExperimentConfig(tau_coh_fs=1e-200))
+
+
+def test_overlap_where_two_tau_squared_underflows():
+    # 2 tau^2 underflows to 0 here: this raised ZeroDivisionError, then a
+    # DomainError after ExperimentConfig had accepted the coherence time
+    assert overlap_from_delay(0.0, 1e-200) == 1.0
+    assert overlap_from_delay(1.0, 1e-200) == 0.0
+    assert overlap_from_delay(1e-200, 1e-200) == math.exp(-0.5)
+    cfg = ExperimentConfig(tau_coh_fs=1e-170)
+    mode3, _ = apply_bs1(input_phi_theta(0.0))
+    far, near = fourfold_from_mode3(mode3, 0.0, cfg), fourfold_from_mode3(mode3, 1.0, cfg)
+    assert sweep_delay(0.0, [-1.0, 0.0, 1.0], cfg).column("fourfold") == (far, near, far)
+
+
+# the reference squares delay and tau apart, so it is compared only where
+# neither square leaves the normal float range; an exponent x with relative
+# error e moves exp(-x) by about x * e relative, so the tolerance scales with x
+delays = st.floats(allow_nan=False, allow_infinity=False)
+taus = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _reference_overlap(delay, tau):
+    return math.exp(-(delay * delay) / (2.0 * tau * tau))
+
+
+@settings(max_examples=300, deadline=None)
+@given(delay=delays, other=delays, tau=taus)
+def test_overlap_is_an_even_non_increasing_gaussian(delay, other, tau):
+    eta = overlap_from_delay(delay, tau)
+    assert 0.0 <= eta <= 1.0
+    assert overlap_from_delay(-delay, tau).hex() == eta.hex()
+    assert overlap_from_delay(0.0, tau) == 1.0
+    near, far = sorted((delay, other), key=abs)
+    assert overlap_from_delay(near, tau) >= overlap_from_delay(far, tau)
+    squares = (delay * delay, 2.0 * tau * tau)
+    if all(math.isfinite(v) for v in squares) and squares[1] >= sys.float_info.min:
+        if delay == 0.0 or squares[0] >= sys.float_info.min:
+            exponent = squares[0] / squares[1]
+            # below the normal range exp's own rounding is absolute, 2^-1074
+            assert math.isclose(
+                eta,
+                _reference_overlap(delay, tau),
+                rel_tol=1e-15 * max(1.0, exponent),
+                abs_tol=2.0 * 2.0**-1074,
+            )
 
 
 def test_overlap_survives_overflowing_squares():

@@ -73,6 +73,27 @@ def test_input_psi_plus_components():
     assert fidelity(state, input_phi_theta(0.0)) == pytest.approx(0.0, abs=1e-12)
 
 
+def _bits(items):
+    return [(occ, amp.real.hex(), amp.imag.hex()) for occ, amp in items]
+
+
+def test_pair_states_keep_their_amplitude_bits_and_share_one_registry():
+    # the literal amplitudes, in their insertion order, of each state as first built
+    half = 0.7071067811865475
+    vv, hh, vh, hv = (0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)
+    expected = {
+        0.0: [(vv, complex(half, 0.0)), (hh, complex(half, 0.0))],
+        1.0: [(vv, complex(half, 0.0)), (hh, complex(0.38205142437008976, 0.5950098395293859))],
+        math.pi: [(vv, complex(half, 0.0)), (hh, complex(-half, 8.659560562354932e-17))],
+    }
+    for theta, items in expected.items():
+        assert _bits(input_phi_theta(theta).items()) == _bits(items)
+    psi_plus = [(vh, complex(half, 0.0)), (hv, complex(half, 0.0))]
+    assert _bits(input_psi_plus().items()) == _bits(psi_plus)
+    registry = input_psi_plus().registry
+    assert all(input_phi_theta(theta).registry is registry for theta in expected)
+
+
 # ---------------------------------------------------------------- first splitter
 
 def test_apply_bs1_number_entangles_phi_theta():
@@ -277,7 +298,6 @@ def test_caches_stay_within_their_bound():
         experiments.twofold_herald,
     ):
         assert cached.cache_info().currsize <= experiments._CACHE_SIZE
-    assert experiments._analysis_registry.cache_info().currsize <= 2
 
 
 def test_signed_zero_rotations_share_a_circuit_that_either_would_build():
