@@ -8,15 +8,12 @@ from .core import (
     PRUNE_THRESHOLD,
     PureState,
     basis_state,
-    canonical_phase,
     expand_onto,
-    fidelity,
     ket_string,
     mode,
     normalize,
     relabel,
     tensor_product,
-    vacuum_state,
 )
 from .distinguish import DEFAULT_TAU_COH_FS, embed_per_bin, extend_ancilla, overlap_from_delay
 from .elements import (

@@ -175,9 +175,6 @@ class RunConfig:
     experiment: str
     parameters: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"experiment": self.experiment, **self.parameters}
-
 
 def _validate_number(key: str, value, minimum=None, maximum=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):

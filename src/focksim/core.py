@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     DuplicateModeError,
     MissingModeError,
-    NotNormalizedError,
     OverlappingModesError,
     ZeroStateError,
     check_count,
@@ -101,9 +100,6 @@ class ModeRegistry:
             return self._index[label]
         except KeyError:
             raise MissingModeError(f"mode {label} is not registered") from None
-
-    def vacuum(self) -> tuple[int, ...]:
-        return (0,) * self.size
 
     def occupation(self, counts: Mapping[ModeLabel, int]) -> tuple[int, ...]:
         """Occupation tuple with the given per-label counts, zero elsewhere."""
@@ -211,25 +207,12 @@ def basis_state(registry: ModeRegistry, counts: Mapping[ModeLabel, int]) -> Pure
     return PureState(registry, {registry.occupation(counts): 1.0 + 0j})
 
 
-def vacuum_state(registry: ModeRegistry) -> PureState:
-    return PureState(registry, {registry.vacuum(): 1.0 + 0j})
-
-
 def normalize(state: PureState) -> tuple[PureState, float]:
     """Scale to unit norm; returns (normalized state, original norm)."""
     norm = state.norm()
     if norm == 0.0:
         raise ZeroStateError("cannot normalize a state with empty support")
     return state.scaled(1.0 / norm), norm
-
-
-def canonical_phase(state: PureState) -> PureState:
-    """Fix the global phase so the first canonical basis amplitude is real positive."""
-    if state.is_zero():
-        return state
-    first = min(occ for occ, _ in state.items())
-    a0 = state.amplitude(first)
-    return state.scaled(a0.conjugate() / abs(a0))
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:
@@ -245,17 +228,6 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
             occ = tuple(x + y for x, y in zip(occ_a, occ_b))
             combined[occ] = combined.get(occ, 0j) + amp_a * amp_b
     return PureState(a.registry, combined)
-
-
-def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2 for two normalized states on the same registry."""
-    if a.registry != b.registry:
-        raise DimensionMismatchError("fidelity requires a common registry")
-    for name, state in (("first", a), ("second", b)):
-        if abs(state.norm_squared() - 1.0) > 1e-6:
-            raise NotNormalizedError(f"{name} state has norm^2 {state.norm_squared():.9f}")
-    inner = sum(a.amplitude(occ).conjugate() * amp for occ, amp in b.items())
-    return abs(inner) ** 2
 
 
 def _remap(state: PureState, labels: Iterable[ModeLabel], registry: ModeRegistry) -> PureState:

@@ -22,10 +22,6 @@ class OverlappingModesError(FockSimError):
     """Tensor factors occupy intersecting mode subsets."""
 
 
-class NotNormalizedError(FockSimError):
-    """A state required to be normalized is not."""
-
-
 class MissingModeError(FockSimError, KeyError):
     """A mode label is not present in the registry."""
 

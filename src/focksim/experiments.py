@@ -11,7 +11,8 @@ No other module knows this layout: the placements and `analysis_registry`
 are built from one table of the ports each element acts on, and the
 temporal bins are `focksim.distinguish`'s.
 
-The registries and the bunching condition are module constants.  Circuits
+The registries, the first splitter and the bunching condition are module
+constants; the mode-3 state is fixed only up to a global phase.  Circuits
 and herald specs are pure functions of immutable settings, so each is kept
 in a small bounded cache inside its public function: every point of a sweep,
 and any caller that recomputes a point, gets the same read-only objects.
@@ -37,7 +38,6 @@ from .core import (
     V,
     ModeRegistry,
     PureState,
-    canonical_phase,
     expand_onto,
     mode,
     normalize,
@@ -176,6 +176,12 @@ def input_psi_plus() -> PureState:
     return _pair_state(((V, H, 1.0), (H, V, 1.0)))
 
 
+#: The balanced first splitter, one per polarization, on the pair modes.
+_BS1 = embed_into(
+    dual_pol_beam_splitter(0.5, 0.5),
+    [mode(_FIRST, H), mode(_SECOND, H), mode(_FIRST, V), mode(_SECOND, V)],
+    _PAIR_REGISTRY,
+)
 #: Bunched: no photon leaves the balanced splitter on the second pair port.
 _BUNCHED = HeraldSpec([([mode(_SECOND, H), mode(_SECOND, V)], ZERO)])
 
@@ -183,26 +189,23 @@ _BUNCHED = HeraldSpec([([mode(_SECOND, H), mode(_SECOND, V)], ZERO)])
 def apply_bs1(state: PureState) -> tuple[PureState, float]:
     """Bunch the two-photon pair into mode 3 with a balanced splitter.
 
-    Applies a 50/50 splitter per polarization to modes (1, 2) and projects
-    on both photons leaving through the mode-3 side.  Returns the
-    normalized conditional state on mode 3 (global phase fixed so the first
-    canonical amplitude is real positive) and the projection probability.
+    `state` must live on the pair registry (modes 1 and 2, both
+    polarizations), as `input_phi_theta` and `input_psi_plus` build it.
+    Applies a 50/50 splitter per polarization and projects on both photons
+    leaving through the mode-3 side.  Returns the normalized conditional
+    state on mode 3, up to a global phase, and the projection probability.
     """
-    registry = state.registry
+    if state.registry != _PAIR_REGISTRY:
+        raise DomainError("the pair input must live on modes 1 and 2 in both polarizations")
     for occ, _ in state.items():
         if sum(occ) != 2:
             raise DomainError("the pair input must hold exactly two photons")
-    splitter = embed_into(
-        dual_pol_beam_splitter(0.5, 0.5),
-        [mode(_FIRST, H), mode(_SECOND, H), mode(_FIRST, V), mode(_SECOND, V)],
-        registry,
-    )
-    result = herald(transform(splitter, state), _BUNCHED)
+    result = herald(transform(_BS1, state), _BUNCHED)
     if not result.branches:
         raise ZeroStateError("no component has both photons in mode 3")
     conditional, _ = normalize(result.conditional_state)
     mode3 = relabel(
-        canonical_phase(conditional),
+        conditional,
         {mode(_FIRST, H): mode(MODE3_SPATIAL, H), mode(_FIRST, V): mode(MODE3_SPATIAL, V)},
     )
     return mode3, result.probability
@@ -352,6 +355,7 @@ def hom_probability(eta: float, cfg: ExperimentConfig) -> float:
     Fully overlapping photons (eta = 1) never produce the herald pattern;
     the coincidence rate grows as the photons become distinguishable.
     """
+    check_unit_interval("eta", eta)
     return sweep_hom_delay([0.0], cfg, eta).column("fourfold")[0]
 
 
@@ -415,10 +419,9 @@ def fit_fringe(samples: Iterable[tuple[float, float]]) -> FringeFit:
     if distinct.max() - distinct.min() <= math.pi:
         raise DegenerateFitError("phase samples must span more than pi")
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
-    singular = np.linalg.svd(design, compute_uv=False)
+    coeffs, _, _, singular = np.linalg.lstsq(design, ys, rcond=None)
     if singular[-1] < 1e-10:
         raise DegenerateFitError("design matrix is rank deficient")
-    coeffs, *_ = np.linalg.lstsq(design, ys, rcond=None)
     c, a, b = (float(v) for v in coeffs)
     amplitude = 2.0 * math.hypot(a, b)
     phase = math.atan2(-b, -a) if amplitude > 0.0 else 0.0

@@ -142,7 +142,9 @@ def test_config_round_trip(tmp_path):
             {"theta": 3.1, "points": 11, "range_fs": [-50.0, 50.0], "tau_coh_fs": 90.0},
         )
     )
-    path = write_json(tmp_path, config.to_dict(), name="round.json")
+    path = write_json(
+        tmp_path, {"experiment": config.experiment, **config.parameters}, name="round.json"
+    )
     assert load_config(path) == config
 
 

@@ -12,15 +12,12 @@ from focksim import (
     ModeRegistry,
     PureState,
     basis_state,
-    canonical_phase,
     expand_onto,
-    fidelity,
     herald,
     mode,
     normalize,
     relabel,
     tensor_product,
-    vacuum_state,
 )
 from focksim.core import PRUNE_THRESHOLD
 from focksim.errors import (
@@ -29,7 +26,6 @@ from focksim.errors import (
     DomainError,
     DuplicateModeError,
     MissingModeError,
-    NotNormalizedError,
     OverlappingModesError,
     ZeroStateError,
 )
@@ -85,7 +81,7 @@ def test_registry_cap():
 def test_occupation_helper():
     reg = pair_registry()
     assert reg.occupation({mode(3, "V"): 2}) == (0, 2)
-    assert reg.vacuum() == (0, 0)
+    assert reg.occupation({}) == (0, 0)
     with pytest.raises(DomainError):
         reg.occupation({mode(3, "V"): -1})
     # non-finite counts used to escape as ValueError or OverflowError
@@ -226,14 +222,6 @@ def test_normalize_empty_state_errors():
         normalize(PureState(reg, {}))
 
 
-def test_canonical_phase_makes_first_amplitude_positive():
-    reg = pair_registry()
-    state = PureState(reg, {(0, 2): -INV_SQRT2, (2, 0): 1j * INV_SQRT2})
-    fixed = canonical_phase(state)
-    assert fixed.amplitude((0, 2)) == pytest.approx(INV_SQRT2, abs=1e-12)
-    assert fixed.amplitude((2, 0)) == pytest.approx(-1j * INV_SQRT2, abs=1e-12)
-
-
 def test_tensor_product_concatenates_disjoint_modes():
     reg = ModeRegistry([mode(3, "H"), mode(5, "H")])
     a = basis_state(reg, {mode(3, "H"): 1})
@@ -261,7 +249,7 @@ def test_tensor_product_distributes_and_multiplies_norms():
 def test_tensor_product_vacuum_is_identity():
     reg = ModeRegistry([mode(3, "H"), mode(5, "H")])
     psi = PureState(reg, {(1, 0): 0.6, (0, 1): 0.8})
-    out = tensor_product(vacuum_state(reg), psi)
+    out = tensor_product(basis_state(reg, {}), psi)
     assert out.support() == psi.support()
     for occ, amp in psi.items():
         assert out.amplitude(occ) == pytest.approx(amp, abs=1e-15)
@@ -276,7 +264,7 @@ def test_tensor_product_rejects_overlap():
 
 def test_tensor_product_associative():
     reg = ModeRegistry([mode(3, "H"), mode(5, "H"), mode(8, "H")])
-    a = PureState(reg, {reg.occupation({mode(3, "H"): 1}): 0.8, reg.vacuum(): 0.6})
+    a = PureState(reg, {reg.occupation({mode(3, "H"): 1}): 0.8, reg.occupation({}): 0.6})
     b = basis_state(reg, {mode(5, "H"): 2})
     c = PureState(reg, {reg.occupation({mode(8, "H"): 1}): 0.5j})
     left = tensor_product(tensor_product(a, b), c)
@@ -292,27 +280,6 @@ def test_states_on_different_registries_do_not_mix():
     b = basis_state(ModeRegistry([mode(5, "H"), mode(5, "V")]), {mode(5, "H"): 1})
     with pytest.raises(DimensionMismatchError):
         tensor_product(a, b)
-    with pytest.raises(DimensionMismatchError):
-        fidelity(a, b)
-
-
-def test_fidelity_examples():
-    reg = pair_registry()
-    psi = PureState(reg, {(0, 2): INV_SQRT2, (2, 0): INV_SQRT2})
-    assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-12)
-    v = basis_state(reg, {mode(3, "V"): 2})
-    h = basis_state(reg, {mode(3, "H"): 2})
-    assert fidelity(v, h) == 0.0
-    assert fidelity(psi, v) == pytest.approx(0.5, abs=1e-12)
-    assert abs(fidelity(psi, v) - fidelity(v, psi)) < 1e-12
-
-
-def test_fidelity_requires_normalization():
-    reg = pair_registry()
-    sub = PureState(reg, {(0, 2): 0.5})
-    unit = basis_state(reg, {mode(3, "V"): 2})
-    with pytest.raises(NotNormalizedError):
-        fidelity(sub, unit)
 
 
 def test_relabel_round_trip_preserves_norm():

@@ -66,7 +66,7 @@ ENTRY_POINTS = {
     "mode.temporal": ("count", lambda v: fs.mode(1, "H", v)),
     "ModeRegistry.occupation": ("count", lambda v: REGISTRY.occupation({fs.mode(3, "V"): v})),
     "PureState": ("count", lambda v: fs.PureState(REGISTRY, {(0, v): 1.0})),
-    "ket_string.precision": ("count", lambda v: fs.ket_string(fs.vacuum_state(REGISTRY), v)),
+    "ket_string.precision": ("count", lambda v: fs.ket_string(fs.basis_state(REGISTRY, {}), v)),
     "Exactly": ("count", lambda v: fs.HeraldSpec([([fs.mode(3, "H")], fs.Exactly(v))])),
     "ns_amplitude.n": ("count", lambda v: fs.ns_amplitude(v, 0.5)),
     "ns_amplitude.reflectivity": ("unit", lambda v: fs.ns_amplitude(1, v)),

@@ -33,7 +33,6 @@ from focksim import (
     permanent,
     transform,
     transform_oracle,
-    vacuum_state,
 )
 from focksim.evolve import _CLOSED_FORMS, _glynn
 from focksim.errors import (
@@ -303,7 +302,7 @@ def test_herald_ns_success_branch():
 
 def test_herald_vacuum_all_zero():
     reg = ns_registry()
-    result = herald(vacuum_state(reg), HeraldSpec([(reg.labels, ZERO)]))
+    result = herald(basis_state(reg, {}), HeraldSpec([(reg.labels, ZERO)]))
     assert result.probability == pytest.approx(1.0)
     assert result.conditional_state.registry.size == 0
 
@@ -353,7 +352,7 @@ def test_herald_branches_split_by_measured_pattern():
 
 def test_herald_group_conditions_validate():
     reg = ns_registry()
-    state = vacuum_state(reg)
+    state = basis_state(reg, {})
     with pytest.raises(HeraldSpecError):
         herald(state, HeraldSpec([([mode(1, "H")], ZERO)]))
     with pytest.raises(HeraldSpecError):

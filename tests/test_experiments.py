@@ -15,7 +15,6 @@ from focksim import (
     analysis_registry,
     apply_bs1,
     dip_visibility,
-    fidelity,
     fit_fringe,
     fourfold_herald,
     fourfold_probability,
@@ -70,7 +69,7 @@ def test_input_psi_plus_components():
     assert len(state.support()) == 2
     for occ, amp in state.items():
         assert amp == pytest.approx(INV_SQRT2, abs=1e-12)
-    assert fidelity(state, input_phi_theta(0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert not set(state.support()) & set(input_phi_theta(0.0).support())
 
 
 def _bits(items):
@@ -97,14 +96,16 @@ def test_pair_states_keep_their_amplitude_bits_and_share_one_registry():
 # ---------------------------------------------------------------- first splitter
 
 def test_apply_bs1_number_entangles_phi_theta():
+    # the mode-3 state is fixed up to one global phase
     theta = 0.8
     mode3, probability = apply_bs1(input_phi_theta(theta))
     assert probability == pytest.approx(0.5, abs=1e-12)
     reg = mode3.registry
-    vv = reg.occupation({mode(3, "V"): 2})
-    hh = reg.occupation({mode(3, "H"): 2})
-    assert mode3.amplitude(vv) == pytest.approx(INV_SQRT2, abs=1e-12)
-    assert mode3.amplitude(hh) == pytest.approx(INV_SQRT2 * np.exp(1j * theta), abs=1e-12)
+    vv = mode3.amplitude(reg.occupation({mode(3, "V"): 2}))
+    hh = mode3.amplitude(reg.occupation({mode(3, "H"): 2}))
+    assert abs(vv) == pytest.approx(INV_SQRT2, abs=1e-12)
+    assert abs(hh) == pytest.approx(INV_SQRT2, abs=1e-12)
+    assert hh / vv == pytest.approx(np.exp(1j * theta), abs=1e-12)
     assert mode3.amplitude(reg.occupation({mode(3, "V"): 1, mode(3, "H"): 1})) == 0j
 
 
@@ -112,7 +113,7 @@ def test_apply_bs1_psi_plus_gives_one_one():
     mode3, probability = apply_bs1(input_psi_plus())
     assert probability == pytest.approx(0.5, abs=1e-12)
     target = mode3.registry.occupation({mode(3, "V"): 1, mode(3, "H"): 1})
-    assert mode3.amplitude(target) == pytest.approx(1.0, abs=1e-12)
+    assert abs(mode3.amplitude(target)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_bs1_rejects_wrong_photon_number():
@@ -131,6 +132,60 @@ def test_apply_bs1_rejects_pair_that_never_bunches():
     pair = PureState(reg, {(2, 0, 0, 0): math.sqrt(2 / 3), (1, 0, 1, 0): math.sqrt(1 / 3)})
     with pytest.raises(ZeroStateError):
         apply_bs1(pair)
+
+
+def test_apply_bs1_rejects_a_pair_off_the_pair_registry():
+    from focksim import ModeRegistry, basis_state
+
+    pair_modes = [mode(s, p) for s in (1, 2) for p in "HV"]
+    # the pair modes plus one more: the extra mode would ride along into mode 3
+    wider = ModeRegistry(pair_modes + [mode(5, "H")])
+    # a pair on other modes: the first splitter's ports are not registered
+    elsewhere = ModeRegistry([mode(s, p) for s in (4, 5) for p in "HV"])
+    pairs = [
+        basis_state(wider, {mode(1, "H"): 1, mode(2, "H"): 1}),
+        basis_state(elsewhere, {mode(4, "H"): 1, mode(5, "H"): 1}),
+    ]
+    for pair in pairs:
+        with pytest.raises(DomainError, match="modes 1 and 2"):
+            apply_bs1(pair)
+
+
+#: Repr floats computed while `apply_bs1` still fixed the mode-3 state's global
+#: phase: per config, {theta: (fourfold at eta 0.3, fourfold at eta 1, twofold)}
+#: and {eta: hom_probability}.
+PROBABILITIES_WITH_THE_PHASE_FIXED = [
+    (
+        CFG,
+        {
+            0.0: (0.06812500000000002, 0.12500000000000003, 0.0),
+            1.0: (0.09168450682425787, 0.09626889411675875, 0.05746221176648255),
+            math.pi: (0.17062500000000003, 0.0, 0.2500000000000001),
+            4.0: (0.1528742355692602, 0.02164727369602427, 0.2067054526079516),
+        },
+        {0.3: 0.22750000000000012, 0.943: 0.027687750000000018},
+    ),
+    (
+        ExperimentConfig(r_v=0.3, r_h=0.7, hwp_rotation=30.0, background=0.01),
+        {
+            0.0: (0.051081249999999995, 0.015250000000000003, 0.029999999999999992),
+            1.0: (0.07446722094472305, 0.01887011934128839, 0.06620119341288395),
+            math.pi: (0.1528262499999999, 0.030999999999999965, 0.1874999999999999),
+            4.0: (0.13520623510238408, 0.028272443514300923, 0.16022443514300935),
+        },
+        {0.3: 0.17265999999999998, 0.943: 0.071954626},
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg,phase_points,hom_points", PROBABILITIES_WITH_THE_PHASE_FIXED)
+def test_the_mode3_global_phase_moves_no_probability_bit(cfg, phase_points, hom_points):
+    for theta, (fourfold_partial, fourfold_full, twofold) in phase_points.items():
+        assert fourfold_probability(theta, 0.3, cfg) == fourfold_partial
+        assert fourfold_probability(theta, 1.0, cfg) == fourfold_full
+        assert twofold_probability(theta, cfg) == twofold
+    for eta, value in hom_points.items():
+        assert hom_probability(eta, cfg) == value
 
 
 # ------------------------------------------------------------- coincidences
@@ -175,6 +230,12 @@ def test_hom_suppression_curve():
 
 
 # ------------------------------------------------------------------- sweeps
+
+def test_hom_probability_names_its_own_parameter():
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(DomainError, match="eta must"):
+            hom_probability(bad, CFG)
+
 
 def test_sweep_delay_single_point_consistency():
     table = sweep_delay(math.pi, [0.0], CFG)
