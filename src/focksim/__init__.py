@@ -56,8 +56,6 @@ from .experiments import (
     hom_probability,
     input_phi_theta,
     input_psi_plus,
-    pbs_router,
-    sign_shift_splitter,
     sweep_delay,
     sweep_hom_delay,
     sweep_phase,

@@ -5,11 +5,14 @@ bunched into mode 3 by a balanced splitter; mode 3 content then meets the
 H-polarized ancilla at the sign-shift splitter, whose outputs are the
 analyzer path (spatial 7) and the herald path (spatial 8).  A wave plate
 rotates the analyzer polarization, after which a polarizing splitter sends
-V to detector path A (spatial 9) and H to detector path B (spatial 10).
-A fourfold event is one photon on the herald (H only), one on A, one on B.
-No other module knows this layout: the placements and `analysis_registry`
-are built from one table of the ports each element acts on, and the
-temporal bins are `focksim.distinguish`'s.
+V to detector A and H to detector B.  That splitter is a fixed
+permutation, so the model detects on the analyzer's own ports: detector A
+is (7, V) and detector B is (7, H).  A fourfold event is one photon on the
+herald (H only), one on A, one on B.  No other module knows this layout:
+each placement is built from a table of the ports its element acts on,
+`analysis_registry` from the sign-shift splitter's four ports, which hold
+the plate's (8 modes with the delayed bin, 4 without), and the temporal
+bins are `focksim.distinguish`'s.
 
 The registries, the first splitter and the bunching condition are module
 constants; the mode-3 state is fixed only up to a global phase.  Circuits
@@ -66,21 +69,14 @@ from .evolve import Exactly, HeraldSpec, ZERO, herald, transform
 PAIR_IN = (1, 2)
 _FIRST, _SECOND = PAIR_IN  # apply_bs1 bunches the pair on the first port's side
 MODE3_SPATIAL = 3
-ANALYZER_SPATIAL = 7
+ANALYZER_SPATIAL = 7  # detector A on its V port, detector B on its H port
 HERALD_SPATIAL = 8
-DETECTOR_A_SPATIAL = 9   # V-polarized path after the polarizing splitter
-DETECTOR_B_SPATIAL = 10  # H-polarized path
 
 #: (spatial, pol) ports of each analysis element, in the order of its matrix's modes.
 _SPLITTER_PORTS = (
     (ANALYZER_SPATIAL, H), (HERALD_SPATIAL, H), (ANALYZER_SPATIAL, V), (HERALD_SPATIAL, V)
 )
 _PLATE_PORTS = ((ANALYZER_SPATIAL, H), (ANALYZER_SPATIAL, V))
-_ROUTER_PORTS = (
-    (ANALYZER_SPATIAL, V), (DETECTOR_A_SPATIAL, V), (ANALYZER_SPATIAL, H), (DETECTOR_B_SPATIAL, H)
-)
-#: Every port of the analysis stage, once each.
-_STAGE_PORTS = tuple(dict.fromkeys(_SPLITTER_PORTS + _PLATE_PORTS + _ROUTER_PORTS))
 
 
 @dataclass(frozen=True)
@@ -184,6 +180,16 @@ _BS1 = embed_into(
 )
 #: Bunched: no photon leaves the balanced splitter on the second pair port.
 _BUNCHED = HeraldSpec([([mode(_SECOND, H), mode(_SECOND, V)], ZERO)])
+#: Mode 3 in both polarizations: the registry of every bunched pair.
+_MODE3_REGISTRY = ModeRegistry([mode(MODE3_SPATIAL, p) for p in (H, V)])
+
+
+def _check_pair(state: PureState, registry: ModeRegistry, name: str, ports: str) -> None:
+    """DomainError unless `state` lives on `registry` and holds two photons in every component."""
+    if state.registry != registry:
+        raise DomainError(f"the {name} must live on {ports} in both polarizations")
+    if any(sum(occ) != 2 for occ, _ in state.items()):
+        raise DomainError(f"the {name} must hold exactly two photons")
 
 
 def apply_bs1(state: PureState) -> tuple[PureState, float]:
@@ -195,11 +201,7 @@ def apply_bs1(state: PureState) -> tuple[PureState, float]:
     leaving through the mode-3 side.  Returns the normalized conditional
     state on mode 3, up to a global phase, and the projection probability.
     """
-    if state.registry != _PAIR_REGISTRY:
-        raise DomainError("the pair input must live on modes 1 and 2 in both polarizations")
-    for occ, _ in state.items():
-        if sum(occ) != 2:
-            raise DomainError("the pair input must hold exactly two photons")
+    _check_pair(state, _PAIR_REGISTRY, "pair input", "modes 1 and 2")
     result = herald(transform(_BS1, state), _BUNCHED)
     if not result.branches:
         raise ZeroStateError("no component has both photons in mode 3")
@@ -211,8 +213,11 @@ def apply_bs1(state: PureState) -> tuple[PureState, float]:
     return mode3, result.probability
 
 
-#: The analysis stage's registries without and with the delayed bin, indexed by `delayed`.
-_ANALYSIS_REGISTRIES = tuple(ModeRegistry(_binned_labels(_STAGE_PORTS, d)) for d in (False, True))
+#: The analysis stage's registries without and with the delayed bin, indexed by `delayed`;
+#: the splitter's ports are every port of the stage, the plate's among them.
+_ANALYSIS_REGISTRIES = tuple(
+    ModeRegistry(_binned_labels(_SPLITTER_PORTS, d)) for d in (False, True)
+)
 
 #: Entries kept by each of the tabletop caches below; a sweep reuses one
 #: setting per point, so a few recent settings are enough.
@@ -229,33 +234,15 @@ def analysis_registry(delayed: bool = True) -> ModeRegistry:
     return _ANALYSIS_REGISTRIES[bool(delayed)]
 
 
-def sign_shift_splitter(registry: ModeRegistry, r_v: float, r_h: float) -> ModeUnitary:
-    """Sign-shift splitter between the analyzer and herald ports.
-
-    `dual_pol_beam_splitter(r_v, r_h)` with the analyzer port as its first
-    input and the herald port as its second, in every temporal bin.
-    """
-    return embed_per_bin(dual_pol_beam_splitter(r_v, r_h), _SPLITTER_PORTS, registry)
-
-
-def pbs_router(registry: ModeRegistry) -> ModeUnitary:
-    """Polarizing beam splitter routing analyzer output to detector paths.
-
-    In every temporal bin, V photons on the analyzer mode go to detector
-    path A and H photons to detector path B: a pure permutation.
-    """
-    swap = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    return embed_per_bin(ModeUnitary(swap), _ROUTER_PORTS, registry)
-
-
 def analysis_circuit(registry: ModeRegistry, cfg: ExperimentConfig) -> ModeUnitary:
-    """Sign-shift splitter, analyzer wave plate, then polarizing router.
+    """Sign-shift splitter, then the analyzer wave plate.
 
-    The signal sits on spatial 7 and the ancilla on spatial 8 before the
-    splitter; each element acts identically on every temporal bin.  The
-    circuit depends only on the registry, `r_v`, `r_h` and `hwp_rotation`;
-    the last few such settings are cached, so every point of a sweep gets
-    the same (read-only) unitary.
+    The splitter is `dual_pol_beam_splitter(r_v, r_h)` with the analyzer
+    port (spatial 7, the signal) as its first input and the herald port
+    (spatial 8, the ancilla) as its second; each element acts identically
+    on every temporal bin.  The circuit depends only on the registry,
+    `r_v`, `r_h` and `hwp_rotation`; the last few such settings are cached,
+    so every point of a sweep gets the same (read-only) unitary.
     """
     return _analysis_circuit(registry, cfg.r_v, cfg.r_h, cfg.hwp_rotation)
 
@@ -264,15 +251,16 @@ def analysis_circuit(registry: ModeRegistry, cfg: ExperimentConfig) -> ModeUnita
 def _analysis_circuit(
     registry: ModeRegistry, r_v: float, r_h: float, hwp_rotation: float
 ) -> ModeUnitary:
+    splitter = embed_per_bin(dual_pol_beam_splitter(r_v, r_h), _SPLITTER_PORTS, registry)
     plate = embed_per_bin(half_wave_plate(hwp_rotation), _PLATE_PORTS, registry)
-    return compose([sign_shift_splitter(registry, r_v, r_h), plate, pbs_router(registry)])
+    return compose([splitter, plate])
 
 
 def _detector_pair(registry: ModeRegistry) -> list:
-    """Detector A (V) and detector B (H) each see exactly one photon over all bins."""
+    """Detectors A (analyzer V) and B (analyzer H) each see exactly one photon over all bins."""
     return [
-        (_detector_modes(registry, DETECTOR_A_SPATIAL, V), Exactly(1)),
-        (_detector_modes(registry, DETECTOR_B_SPATIAL, H), Exactly(1)),
+        (_detector_modes(registry, ANALYZER_SPATIAL, V), Exactly(1)),
+        (_detector_modes(registry, ANALYZER_SPATIAL, H), Exactly(1)),
     ]
 
 
@@ -280,26 +268,16 @@ def _detector_pair(registry: ModeRegistry) -> list:
 def fourfold_herald(registry: ModeRegistry) -> HeraldSpec:
     """Fourfold coincidence: herald H, detector A, detector B see one photon each.
 
-    Photon counts are aggregated over temporal bins, herald-side V modes
-    are unmonitored, and nothing may remain on the analyzer.  The spec of
-    each of the last few registries is cached.
+    Photon counts are aggregated over temporal bins and herald-side V modes
+    are unmonitored.  The spec of each of the last few registries is cached.
     """
-    return HeraldSpec(
-        [
-            (_detector_modes(registry, HERALD_SPATIAL, H), Exactly(1)),
-            *_detector_pair(registry),
-            (
-                _detector_modes(registry, ANALYZER_SPATIAL, H)
-                + _detector_modes(registry, ANALYZER_SPATIAL, V),
-                ZERO,
-            ),
-        ]
-    )
+    herald_h = (_detector_modes(registry, HERALD_SPATIAL, H), Exactly(1))
+    return HeraldSpec([herald_h, *_detector_pair(registry)])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def twofold_herald(registry: ModeRegistry) -> HeraldSpec:
-    """Pair coincidence between detector paths A and B, everything else free.
+    """Pair coincidence between detectors A and B, everything else free.
 
     Cached per registry, as `fourfold_herald` is.
     """
@@ -307,12 +285,25 @@ def twofold_herald(registry: ModeRegistry) -> HeraldSpec:
 
 
 def _place_signal(mode3_state: PureState, registry: ModeRegistry) -> PureState:
+    """The mode-3 pair moved onto the analyzer ports of `registry`.
+
+    DomainError unless the state is what `apply_bs1` returns: on mode 3 in
+    both polarizations, two photons in every component, norm^2 1 to 1e-12.
+    """
+    _check_pair(mode3_state, _MODE3_REGISTRY, "mode-3 state", "mode 3")
+    norm_squared = mode3_state.norm_squared()
+    if not abs(norm_squared - 1.0) <= 1e-12:
+        raise DomainError(f"the mode-3 state must be normalized, got norm^2 {norm_squared}")
     moves = {mode(MODE3_SPATIAL, p): mode(ANALYZER_SPATIAL, p) for p in (H, V)}
     return expand_onto(relabel(mode3_state, moves), registry)
 
 
 def fourfold_from_mode3(mode3_state: PureState, eta: float, cfg: ExperimentConfig) -> float:
-    """Fourfold coincidence probability for a given mode-3 state, no background."""
+    """Fourfold coincidence probability for a given mode-3 state, no background.
+
+    `mode3_state` must be a normalized two-photon state on mode 3, as
+    `apply_bs1` returns it; DomainError otherwise.
+    """
     registry = analysis_registry(delayed=True)
     signal = _place_signal(mode3_state, registry)
     ancilla = extend_ancilla(registry, mode(HERALD_SPATIAL, H), eta)

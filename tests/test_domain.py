@@ -3,6 +3,7 @@
 The three shared rules live in `focksim.errors`: a finite real, a number in
 [0, 1], and a photon count (a non-negative integer a float can hold).  A
 bad value must raise `DomainError`: never return, never raise another type.
+The same holds for a mode-3 state the tabletop cannot hold.
 """
 
 import math
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import focksim as fs
 from focksim.errors import DomainError
+from focksim.experiments import _twofold_from_mode3
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -106,3 +108,32 @@ def test_numeric_entry_points_reject_bad_numbers(name, data):
     for value in (*SPECIAL[kind], data.draw(GENERATED[kind], label="value")):
         with pytest.raises(DomainError):
             call(value)
+
+
+MODE3 = fs.ModeRegistry([fs.mode(3, "H"), fs.mode(3, "V")])
+
+#: Mode-3 states `apply_bs1` never returns: the pair must be two photons on
+#: mode 3 alone, with norm^2 1.
+BAD_MODE3_STATES = {
+    "1H": fs.basis_state(MODE3, {fs.mode(3, "H"): 1}),
+    "3H": fs.basis_state(MODE3, {fs.mode(3, "H"): 3}),
+    "2H_1V": fs.basis_state(MODE3, {fs.mode(3, "H"): 2, fs.mode(3, "V"): 1}),
+    "4V": fs.basis_state(MODE3, {fs.mode(3, "V"): 4}),
+    "2H_amplitude_2": fs.PureState(MODE3, {(2, 0): 2.0}),
+    "extra_mode": fs.basis_state(
+        fs.ModeRegistry([*MODE3.labels, fs.mode(5, "H")]), {fs.mode(3, "H"): 2}
+    ),
+}
+
+#: The two routes a mode-3 state takes into the analysis stage.
+MODE3_ROUTES = {
+    "fourfold_from_mode3": lambda state: fs.fourfold_from_mode3(state, 1.0, CFG),
+    "_twofold_from_mode3": lambda state: _twofold_from_mode3(state, CFG),
+}
+
+
+@pytest.mark.parametrize("route", sorted(MODE3_ROUTES))
+@pytest.mark.parametrize("name", sorted(BAD_MODE3_STATES))
+def test_mode3_routes_reject_states_the_tabletop_cannot_hold(name, route):
+    with pytest.raises(DomainError):
+        MODE3_ROUTES[route](BAD_MODE3_STATES[name])

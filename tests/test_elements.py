@@ -18,8 +18,6 @@ from focksim import (
     embed_per_bin,
     half_wave_plate,
     mode,
-    pbs_router,
-    sign_shift_splitter,
 )
 from focksim.errors import (
     DimensionMismatchError,
@@ -100,43 +98,6 @@ def test_half_wave_plate_angles():
             half_wave_plate(bad)
 
 
-def analyzer_registry():
-    return ModeRegistry(
-        [mode(7, "H"), mode(7, "V"), mode(9, "V"), mode(10, "H")]
-    )
-
-
-def test_pbs_router_routes_polarizations():
-    reg = analyzer_registry()
-    u = pbs_router(reg).matrix
-    assert u[reg.index(mode(9, "V")), reg.index(mode(7, "V"))] == 1.0
-    assert u[reg.index(mode(10, "H")), reg.index(mode(7, "H"))] == 1.0
-    assert set(np.unique(u.real)) <= {0.0, 1.0}
-    assert np.abs(u.imag).max() == 0.0
-    assert unitarity_defect(pbs_router(reg)) == 0.0
-
-
-def test_pbs_router_splits_polarized_pair():
-    from focksim import basis_state, transform
-
-    reg = analyzer_registry()
-    pair = basis_state(reg, {mode(7, "V"): 1, mode(7, "H"): 1})
-    routed = transform(pbs_router(reg), pair)
-    target = reg.occupation({mode(9, "V"): 1, mode(10, "H"): 1})
-    assert routed.amplitude(target) == pytest.approx(1.0, abs=1e-12)
-    single_v = transform(pbs_router(reg), basis_state(reg, {mode(7, "V"): 1}))
-    assert single_v.amplitude(reg.occupation({mode(9, "V"): 1})) == pytest.approx(1.0)
-    single_h = transform(pbs_router(reg), basis_state(reg, {mode(7, "H"): 1}))
-    assert single_h.amplitude(reg.occupation({mode(10, "H"): 1})) == pytest.approx(1.0)
-
-
-def test_pbs_router_missing_modes():
-    with pytest.raises(MissingModeError):
-        pbs_router(ModeRegistry([mode(7, "H"), mode(7, "V")]))
-    with pytest.raises(MissingModeError):
-        pbs_router(ModeRegistry([mode(1, "H")]))
-
-
 def test_embed_identity_anywhere():
     reg = ModeRegistry([mode(s, "H") for s in range(6)])
     u = embed_into(ModeUnitary(np.eye(2)), [mode(2, "H"), mode(4, "H")], reg)
@@ -199,12 +160,15 @@ def test_compose_two_balanced_splitters_swap():
 
 
 def test_compose_order_first_listed_acts_first():
-    reg = ModeRegistry([mode(7, "H"), mode(7, "V"), mode(9, "V"), mode(10, "H")])
+    reg = ModeRegistry([mode(7, "H"), mode(7, "V"), mode(8, "H")])
     hwp = embed_into(half_wave_plate(90.0), [mode(7, "H"), mode(7, "V")], reg)
-    router = pbs_router(reg)
-    u = compose([hwp, router]).matrix
-    # H flips to V at the plate, then V routes to detector path A
-    assert u[reg.index(mode(9, "V")), reg.index(mode(7, "H"))] == pytest.approx(1.0)
+    splitter = embed_into(beam_splitter(0.0), [mode(7, "V"), mode(8, "H")], reg)
+    # H flips to V at the plate, then the splitter sends all of 7V to 8H
+    u = compose([hwp, splitter]).matrix
+    assert u[reg.index(mode(8, "H")), reg.index(mode(7, "H"))] == pytest.approx(1.0)
+    # the other order: the splitter leaves 7H alone, and the plate turns it to V
+    reversed_u = compose([splitter, hwp]).matrix
+    assert reversed_u[reg.index(mode(7, "V")), reg.index(mode(7, "H"))] == pytest.approx(1.0)
 
 
 def test_compose_dimension_mismatch():
@@ -239,8 +203,6 @@ def test_every_element_is_unitary_over_random_parameters(r_v, r_h, rotation, del
         beam_splitter(r_v),
         dual_pol_beam_splitter(r_v, r_h),
         half_wave_plate(rotation),
-        sign_shift_splitter(registry, r_v, r_h),
-        pbs_router(registry),
         embed_per_bin(half_wave_plate(rotation), [(7, "H"), (7, "V")], registry),
         analysis_circuit(registry, cfg),
     ]

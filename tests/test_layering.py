@@ -18,7 +18,7 @@ SOURCES = {
 }
 GENERIC = ("core", "elements", "evolve")
 TABLETOP = {"distinguish", "experiments"}
-ANALYSIS_PORTS = {"ANALYZER_SPATIAL", "HERALD_SPATIAL", "DETECTOR_A_SPATIAL", "DETECTOR_B_SPATIAL"}
+ANALYSIS_PORTS = {"ANALYZER_SPATIAL", "HERALD_SPATIAL"}
 
 
 def is_port_name(name: str) -> bool:

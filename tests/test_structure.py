@@ -4,14 +4,15 @@ Write F(eta) for `fourfold_from_mode3` at ancilla overlap eta.  Because the
 analysis circuit acts on each temporal bin alone and every detector sums
 over bins, the bin-0 and bin-1 ancilla terms never interfere: F is exactly
 linear in eta^2, and F(1) and F(0) both follow from the single-bin registry.
-The phase fringes are exact sin^2 curves and the delay sweeps are even in
-the delay.  Every check holds to 1e-12.
+The phase fringes are exact sin^2 curves, their fitted shift is exactly 0
+or pi, and the delay sweeps are even in the delay.  Every check holds to
+1e-12, the fitted shift to 1e-9.
 """
 
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from focksim import (
@@ -28,6 +29,7 @@ from focksim import (
     fit_fringe,
     fourfold_from_mode3,
     fourfold_herald,
+    fringe_phase_shift,
     herald,
     input_phi_theta,
     input_psi_plus,
@@ -41,8 +43,6 @@ from focksim import (
 )
 from focksim.experiments import (
     ANALYZER_SPATIAL,
-    DETECTOR_A_SPATIAL,
-    DETECTOR_B_SPATIAL,
     HERALD_SPATIAL,
     MODE3_SPATIAL,
 )
@@ -121,7 +121,7 @@ def test_delay_sweeps_are_even_in_the_delay(cfg, theta, eta_max, delay):
 
 
 def single_bin_limits(mode3, cfg):
-    """F(1) and F(0) on the 6-mode single-bin registry, without a delayed copy."""
+    """F(1) and F(0) on the 4-mode single-bin registry, without a delayed copy."""
     registry = analysis_registry(delayed=False)
     circuit = analysis_circuit(registry, cfg)
     moves = {mode(MODE3_SPATIAL, p): mode(ANALYZER_SPATIAL, p) for p in (H, V)}
@@ -131,8 +131,9 @@ def single_bin_limits(mode3, cfg):
     f1 = herald(transform(circuit, coherent), fourfold_herald(registry)).probability
     signal = transform(circuit, placed)
     # a distinguishable ancilla lands on one detector on its own, and the
-    # pair must put one photon on each of the other two
-    detectors = [ancilla, mode(DETECTOR_A_SPATIAL, V), mode(DETECTOR_B_SPATIAL, H)]
+    # pair must put one photon on each of the other two; detectors A and B
+    # are the analyzer's V and H ports
+    detectors = [ancilla, mode(ANALYZER_SPATIAL, V), mode(ANALYZER_SPATIAL, H)]
     column = circuit.matrix[:, registry.index(ancilla)]
     f0 = 0.0
     for hit in detectors:
@@ -149,3 +150,27 @@ def test_single_bin_registry_gives_both_overlap_limits(cfg, pair):
     f1, f0 = single_bin_limits(mode3, cfg)
     assert abs(fourfold_from_mode3(mode3, 1.0, cfg) - f1) <= TOL
     assert abs(fourfold_from_mode3(mode3, 0.0, cfg) - f0) <= TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r_v=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    r_h=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    # at multiples of 90 degrees the plate mixes no H into V and the twofold
+    # fringe is flat, so the angle keeps 1 degree off each of them
+    rotation=st.builds(lambda a, k: a + 90.0 * k, st.floats(1.0, 89.0), st.integers(-2, 1)),
+    eta=unit,
+    background=st.floats(0.0, 0.1),
+)
+def test_phase_shift_is_pi_exactly_above_the_threshold_and_zero_below(
+    r_v, r_h, rotation, eta, background
+):
+    threshold = r_h / (2.0 * (1.0 - r_h))
+    # at eta^2 = threshold the fourfold fringe is flat and its phase undefined;
+    # close to it the fringe is too shallow for its fitted phase to hold 1e-9
+    assume(abs(eta**2 - threshold) >= 1e-3)
+    cfg = ExperimentConfig(r_v=r_v, r_h=r_h, hwp_rotation=rotation, background=background)
+    thetas = [2.0 * math.pi * i / 8.0 for i in range(8)]
+    shift = fringe_phase_shift(sweep_phase(thetas, eta, cfg))
+    expected = math.pi if eta**2 > threshold else 0.0
+    assert abs(shift - expected) <= 1e-9
