@@ -11,7 +11,6 @@ from focksim import (
     HeraldSpec,
     ModeRegistry,
     PureState,
-    THRESHOLD_CLICK,
     basis_state,
     beam_splitter,
     herald,
@@ -38,11 +37,11 @@ print("expansion oracle:", ket_string(check))
 result = herald(out, HeraldSpec([([mode(2, "H")], Exactly(1))]))
 print("\nP(exactly one photon in mode 2):", result.probability)
 
-# A threshold click keeps both bunched outcomes as separate branches.
-clicked = herald(out, HeraldSpec([([mode(2, "H")], THRESHOLD_CLICK)]))
-print("P(click in mode 2):", clicked.probability)
-for pattern, branch in clicked.branches:
-    print(f"  detector saw {pattern}: remaining state {ket_string(branch)}")
+# Two photons counted over both modes: each bunched outcome is its own branch.
+both = herald(out, HeraldSpec([([mode(1, "H"), mode(2, "H")], Exactly(2))]))
+print("P(two photons over modes 1 and 2):", both.probability)
+for pattern, branch in both.branches:
+    print(f"  detectors saw {pattern}: remaining state {ket_string(branch)}")
 
 # Sub-normalized states carry their event probability in the norm.
 sub = PureState(reg, {(2, 0): 0.25, (0, 2): -0.25})

@@ -29,7 +29,6 @@ from .evolve import (
     HeraldResult,
     HeraldSpec,
     PHOTON_CAP,
-    THRESHOLD_CLICK,
     ZERO,
     herald,
     ns_amplitude,

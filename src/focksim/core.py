@@ -127,6 +127,14 @@ def _checked_occupation(occ, size: int) -> tuple[int, ...]:
     return tuple(int(c) for c in occ)
 
 
+def _probability_sum(terms: Iterable[float]) -> float:
+    """`math.fsum` of probability terms; DomainError if a term or the sum leaves the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise DomainError("a probability sum leaves the float range") from None
+
+
 class PureState:
     """Sparse pure state: occupation tuple -> complex amplitude.
 
@@ -177,7 +185,7 @@ class PureState:
         return self._amplitudes.get(occ, 0j)
 
     def norm_squared(self) -> float:
-        return math.fsum(abs(a) ** 2 for a in self._amplitudes.values())
+        return _probability_sum(abs(a) ** 2 for a in self._amplitudes.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())

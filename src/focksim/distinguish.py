@@ -85,7 +85,3 @@ def embed_per_bin(
         registry,
     )
 
-
-def _detector_modes(registry: ModeRegistry, spatial: int, pol: str) -> list[ModeLabel]:
-    """Modes a detector on one port counts: it cannot resolve time, so every bin's copy."""
-    return [label for label in registry.labels if label.spatial == spatial and label.pol == pol]

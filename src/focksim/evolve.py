@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from enum import Enum
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import H, V, ModeLabel, ModeRegistry, PureState, basis_state, mode
+from .core import H, V, ModeLabel, ModeRegistry, PureState, _probability_sum, basis_state, mode
 from .elements import ModeUnitary, dual_pol_beam_splitter, embed_into
 from .errors import (
     DimensionMismatchError,
@@ -138,14 +137,13 @@ def permanent(matrix) -> complex:
 def occupations(total: int, modes: int) -> tuple[tuple[int, ...], ...]:
     """All occupation tuples of `total` photons over `modes`, lexicographic."""
     total, modes = check_count("photon number", total), check_count("mode count", modes)
-    if modes == 0:
-        return ((),) if total == 0 else ()
-    if modes == 1:
-        return ((total,),)
     out = []
-    for first in range(total + 1):
-        for rest in occupations(total - first, modes - 1):
-            out.append((first,) + rest)
+    # reversed, the ascending mode picks give occupations in lexicographic order
+    for picked in reversed(list(combinations_with_replacement(range(modes), total))):
+        counts = [0] * modes
+        for k in picked:
+            counts[k] += 1
+        out.append(tuple(counts))
     return tuple(out)
 
 
@@ -249,29 +247,22 @@ class Exactly(NamedTuple):
     count: int
 
 
-class _Rule(Enum):
-    THRESHOLD_CLICK = "threshold-click"
-
-
-#: Non-number-resolving detector: at least one photon in the group.
-THRESHOLD_CLICK = _Rule.THRESHOLD_CLICK
 #: No photons in the group.
 ZERO = Exactly(0)
 
-Condition = Exactly | _Rule
-
 
 class HeraldSpec:
-    """Detection pattern: disjoint mode groups, one condition per group.
+    """Detection pattern: disjoint mode groups, each holding `Exactly(k)` photons.
 
     Every grouped mode is measured.  Modes in no group are unmonitored (there
     is no "any" condition): their content stays in the conditional state.
-    Conditions count photons summed over the whole group, so grouping a
-    detector's temporal copies models a detector that cannot resolve time.
+    Counts are summed over the whole group, so grouping a detector's temporal
+    copies models a detector that cannot resolve time.  A threshold click (at
+    least one photon) has probability norm^2 minus that of the group at ZERO.
     """
 
-    def __init__(self, groups: Iterable[tuple[Iterable[ModeLabel], Condition]]):
-        normalized: list[tuple[frozenset[ModeLabel], Condition]] = []
+    def __init__(self, groups: Iterable[tuple[Iterable[ModeLabel], Exactly]]):
+        normalized: list[tuple[frozenset[ModeLabel], Exactly]] = []
         seen: set[ModeLabel] = set()
         for labels, condition in groups:
             group = frozenset(mode(*label) for label in labels)
@@ -279,16 +270,15 @@ class HeraldSpec:
                 raise HeraldSpecError("herald groups must be non-empty")
             if group & seen:
                 raise HeraldSpecError(f"herald groups overlap on {sorted(group & seen)}")
-            if isinstance(condition, Exactly):
-                check_count("Exactly(k)", condition.count)
-            elif not isinstance(condition, _Rule):
+            if not isinstance(condition, Exactly):
                 raise HeraldSpecError(f"unknown herald condition {condition!r}")
+            check_count("Exactly(k)", condition.count)
             seen |= group
             normalized.append((group, condition))
         self._groups = tuple(normalized)
 
     @property
-    def groups(self) -> tuple[tuple[frozenset[ModeLabel], Condition], ...]:
+    def groups(self) -> tuple[tuple[frozenset[ModeLabel], Exactly], ...]:
         return self._groups
 
 
@@ -327,12 +317,9 @@ def herald(state: PureState, spec: HeraldSpec) -> HeraldResult:
     missing = [label for group, _ in spec.groups for label in group if label not in registry]
     if missing:
         raise HeraldSpecError(f"herald references unregistered mode {missing[0]}")
-    # per group: its mode indices and the exact count it needs (None: at least one)
+    # per group: its mode indices and the photon count it needs
     tests = [
-        (
-            [registry.index(label) for label in group],
-            condition.count if isinstance(condition, Exactly) else None,
-        )
+        ([registry.index(label) for label in group], condition.count)
         for group, condition in spec.groups
     ]
     # registry indices follow canonical label order, so patterns do too
@@ -342,9 +329,8 @@ def herald(state: PureState, spec: HeraldSpec) -> HeraldResult:
 
     collected: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
     for occ, amp in state.items():
-        for indices, exact in tests:
-            count = sum(map(occ.__getitem__, indices))
-            if not (count >= 1 if exact is None else count == exact):
+        for indices, count in tests:
+            if sum(map(occ.__getitem__, indices)) != count:
                 break
         else:
             pattern = tuple(map(occ.__getitem__, measured_pos))
@@ -355,7 +341,7 @@ def herald(state: PureState, spec: HeraldSpec) -> HeraldResult:
         (pattern, PureState(unmeasured_reg, amps))
         for pattern, amps in sorted(collected.items())
     ]
-    probability = math.fsum(sub.norm_squared() for _, sub in branches)
+    probability = _probability_sum(sub.norm_squared() for _, sub in branches)
     return HeraldResult(probability, branches)
 
 

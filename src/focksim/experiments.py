@@ -14,11 +14,11 @@ each placement is built from a table of the ports its element acts on,
 the plate's (8 modes with the delayed bin, 4 without), and the temporal
 bins are `focksim.distinguish`'s.
 
-The registries, the first splitter and the bunching condition are module
-constants; the mode-3 state is fixed only up to a global phase.  Circuits
-and herald specs are pure functions of immutable settings, so each is kept
-in a small bounded cache inside its public function: every point of a sweep,
-and any caller that recomputes a point, gets the same read-only objects.
+The registries, the first splitter, the bunching condition and the four
+herald specs are module constants; the mode-3 state is fixed only up to a
+global phase.  The analysis circuit is kept in one small bounded cache
+inside `analysis_circuit`: every point of a sweep, and any caller that
+recomputes a point, gets the same read-only unitary.
 
 All probabilities are conditional on the prepared mode-3 state: absolute
 pair-generation and collection rates are outside the model, and the
@@ -50,7 +50,6 @@ from .core import (
 from .distinguish import (
     DEFAULT_TAU_COH_FS,
     _binned_labels,
-    _detector_modes,
     embed_per_bin,
     extend_ancilla,
     overlap_from_delay,
@@ -219,8 +218,8 @@ _ANALYSIS_REGISTRIES = tuple(
     ModeRegistry(_binned_labels(_SPLITTER_PORTS, d)) for d in (False, True)
 )
 
-#: Entries kept by each of the tabletop caches below; a sweep reuses one
-#: setting per point, so a few recent settings are enough.
+#: Entries kept by the circuit cache below; a sweep reuses one setting per
+#: point, so a few recent settings are enough.
 _CACHE_SIZE = 16
 
 
@@ -256,32 +255,40 @@ def _analysis_circuit(
     return compose([splitter, plate])
 
 
-def _detector_pair(registry: ModeRegistry) -> list:
-    """Detectors A (analyzer V) and B (analyzer H) each see exactly one photon over all bins."""
-    return [
-        (_detector_modes(registry, ANALYZER_SPATIAL, V), Exactly(1)),
-        (_detector_modes(registry, ANALYZER_SPATIAL, H), Exactly(1)),
-    ]
+#: Detectors A (analyzer V) and B (analyzer H); a fourfold adds the herald's H detector.
+_PAIR_DETECTORS = ((ANALYZER_SPATIAL, V), (ANALYZER_SPATIAL, H))
+
+#: Per analysis registry, indexed by `delayed`: its fourfold and twofold specs,
+#: each detector counting exactly one photon over all its temporal bins.
+_HERALDS = tuple(
+    tuple(
+        HeraldSpec([(_binned_labels([port], d), Exactly(1)) for port in ports])
+        for ports in (((HERALD_SPATIAL, H), *_PAIR_DETECTORS), _PAIR_DETECTORS)
+    )
+    for d in (False, True)
+)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+def _heralds(registry: ModeRegistry) -> tuple[HeraldSpec, HeraldSpec]:
+    """The fourfold and twofold specs of an analysis registry; DomainError for any other."""
+    try:
+        return _HERALDS[_ANALYSIS_REGISTRIES.index(registry)]
+    except ValueError:
+        raise DomainError(f"{registry!r} is not an analysis registry") from None
+
+
 def fourfold_herald(registry: ModeRegistry) -> HeraldSpec:
     """Fourfold coincidence: herald H, detector A, detector B see one photon each.
 
     Photon counts are aggregated over temporal bins and herald-side V modes
-    are unmonitored.  The spec of each of the last few registries is cached.
+    are unmonitored.  DomainError unless `registry` is an analysis registry.
     """
-    herald_h = (_detector_modes(registry, HERALD_SPATIAL, H), Exactly(1))
-    return HeraldSpec([herald_h, *_detector_pair(registry)])
+    return _heralds(registry)[0]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def twofold_herald(registry: ModeRegistry) -> HeraldSpec:
-    """Pair coincidence between detectors A and B, everything else free.
-
-    Cached per registry, as `fourfold_herald` is.
-    """
-    return HeraldSpec(_detector_pair(registry))
+    """A-B pair coincidence, everything else free; DomainError off the analysis registries."""
+    return _heralds(registry)[1]
 
 
 def _place_signal(mode3_state: PureState, registry: ModeRegistry) -> PureState:

@@ -137,3 +137,30 @@ MODE3_ROUTES = {
 def test_mode3_routes_reject_states_the_tabletop_cannot_hold(name, route):
     with pytest.raises(DomainError):
         MODE3_ROUTES[route](BAD_MODE3_STATES[name])
+
+
+LINE = fs.ModeRegistry([fs.mode(0, "H"), fs.mode(1, "H")])
+BOTH_MODES = fs.HeraldSpec([([fs.mode(0, "H"), fs.mode(1, "H")], fs.Exactly(1))])
+
+#: States `PureState` accepts whose norm^2 is past the float range: one
+#: amplitude whose square is, and two whose squares each fit but not their sum.
+HUGE_NORM_STATES = {
+    "one_1e160": {(1, 0): 1e160},
+    "two_1e154": {(1, 0): 1e154, (0, 1): 1e154},
+}
+
+#: Every route to a norm^2; each used to escape as OverflowError.
+NORM_ROUTES = {
+    "norm_squared": lambda state: state.norm_squared(),
+    "norm": lambda state: state.norm(),
+    "normalize": lambda state: fs.normalize(state),
+    "herald": lambda state: fs.herald(state, BOTH_MODES),
+}
+
+
+@pytest.mark.parametrize("route", sorted(NORM_ROUTES))
+@pytest.mark.parametrize("name", sorted(HUGE_NORM_STATES))
+def test_a_norm_past_the_float_range_is_a_domain_error(name, route):
+    state = fs.PureState(LINE, HUGE_NORM_STATES[name])
+    with pytest.raises(DomainError):
+        NORM_ROUTES[route](state)

@@ -15,7 +15,6 @@ from focksim import (
     ModeRegistry,
     ModeUnitary,
     PureState,
-    THRESHOLD_CLICK,
     ZERO,
     analysis_circuit,
     analysis_registry,
@@ -169,6 +168,20 @@ def test_occupations_enumeration():
     assert all(sum(o) == 2 for o in occs)
     assert len(occs) == 6
     assert occupations(0, 4) == ((0, 0, 0, 0),)
+    # itertools.product enumerates in the same lexicographic order
+    for total in range(5):
+        for modes in range(5):
+            product = itertools.product(range(total + 1), repeat=modes)
+            assert occupations(total, modes) == tuple(o for o in product if sum(o) == total)
+
+
+def test_occupations_of_many_modes():
+    # one recursion level per mode used to raise RecursionError past ~1000 modes
+    assert occupations(0, 1000) == ((0,) * 1000,)
+    ones = occupations(1, 1000)
+    assert len(ones) == 1000
+    assert ones[0] == (0,) * 999 + (1,)
+    assert ones == tuple(sorted(ones))
 
 
 # ---------------------------------------------------------------- transform
@@ -317,21 +330,6 @@ def test_herald_no_matching_component():
         result.conditional_state
 
 
-def test_herald_threshold_click():
-    reg = ns_registry()
-    state = PureState(
-        reg,
-        {
-            reg.occupation({mode(8, "H"): 2}): 0.6,
-            reg.occupation({mode(7, "H"): 2}): 0.8,
-        },
-    )
-    clicked = herald(
-        state, HeraldSpec([([mode(8, "H"), mode(8, "V")], THRESHOLD_CLICK)])
-    )
-    assert clicked.probability == pytest.approx(0.36, abs=1e-12)
-
-
 def test_herald_branches_split_by_measured_pattern():
     reg = ns_registry()
     state = PureState(
@@ -341,7 +339,8 @@ def test_herald_branches_split_by_measured_pattern():
             reg.occupation({mode(8, "H"): 2}): 0.8,
         },
     )
-    result = herald(state, HeraldSpec([([mode(8, "H")], THRESHOLD_CLICK)]))
+    # both components hold two photons over 8H and 7H, in two measured patterns
+    result = herald(state, HeraldSpec([([mode(8, "H"), mode(7, "H")], Exactly(2))]))
     assert len(result.branches) == 2
     assert result.probability == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(HeraldSpecError):
@@ -356,11 +355,13 @@ def test_herald_group_conditions_validate():
     with pytest.raises(HeraldSpecError):
         herald(state, HeraldSpec([([mode(1, "H")], ZERO)]))
     with pytest.raises(HeraldSpecError):
-        HeraldSpec([([mode(7, "H")], ZERO), ([mode(7, "H")], THRESHOLD_CLICK)])
+        HeraldSpec([([mode(7, "H")], ZERO), ([mode(7, "H")], Exactly(1))])
     with pytest.raises(HeraldSpecError, match="non-empty"):
         HeraldSpec([([], ZERO)])
-    with pytest.raises(HeraldSpecError, match="unknown herald condition"):
-        HeraldSpec([([mode(1, "H")], "click")])
+    # a condition is an Exactly(k) and nothing else, not even its count or its tuple
+    for bad in ("click", 1, (1,)):
+        with pytest.raises(HeraldSpecError, match="unknown herald condition"):
+            HeraldSpec([([mode(1, "H")], bad)])
     with pytest.raises(DomainError):
         HeraldSpec([([mode(7, "H")], Exactly(-1))])
     # these used to herald with probability 0 instead of failing
@@ -372,8 +373,8 @@ def test_herald_group_conditions_validate():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_herald_outcomes_are_exhaustive(data):
-    # every component meets exactly one Exactly(k) of a group, and exactly one
-    # of THRESHOLD_CLICK and ZERO, so each set of outcomes sums to the norm
+    # every component meets exactly one Exactly(k) of a group, so the outcomes
+    # sum to the norm
     reg = ModeRegistry([mode(s, p) for s in range(data.draw(st.integers(1, 2))) for p in "HV"])
     occupation = st.tuples(*[st.integers(0, 2)] * reg.size)
     amplitude = st.builds(complex, st.floats(0.1, 1.0), st.floats(-1.0, 1.0))
@@ -384,8 +385,6 @@ def test_herald_outcomes_are_exhaustive(data):
     most = max(sum(occ) for occ, _ in state.items())
     exact = [herald(state, HeraldSpec([(group, Exactly(k))])).probability for k in range(most + 1)]
     assert abs(math.fsum(exact) - norm) <= 1e-12
-    click = [herald(state, HeraldSpec([(group, c)])).probability for c in (THRESHOLD_CLICK, ZERO)]
-    assert abs(math.fsum(click) - norm) <= 1e-12
 
 
 # ------------------------------------------------------------- closed forms

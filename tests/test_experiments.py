@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from focksim import (
     ExperimentConfig,
     FringeFit,
+    ModeRegistry,
     SweepTable,
     analysis_circuit,
     analysis_registry,
@@ -182,12 +183,19 @@ PROBABILITIES_WITH_THE_PHASE_FIXED = [
 
 @pytest.mark.parametrize("cfg,phase_points,hom_points", PROBABILITIES_WITH_THE_PHASE_FIXED)
 def test_the_mode3_global_phase_moves_no_probability_bit(cfg, phase_points, hom_points):
+    calls = []
     for theta, (fourfold_partial, fourfold_full, twofold) in phase_points.items():
-        assert fourfold_probability(theta, 0.3, cfg) == fourfold_partial
-        assert fourfold_probability(theta, 1.0, cfg) == fourfold_full
-        assert twofold_probability(theta, cfg) == twofold
-    for eta, value in hom_points.items():
-        assert hom_probability(eta, cfg) == value
+        calls.append((fourfold_probability, (theta, 0.3, cfg), fourfold_partial))
+        calls.append((fourfold_probability, (theta, 1.0, cfg), fourfold_full))
+        calls.append((twofold_probability, (theta, cfg), twofold))
+    calls += [(hom_probability, (eta, cfg), value) for eta, value in hom_points.items()]
+    # every moved bit at once, not only the first
+    moved = [
+        (function.__name__, args[:-1], pinned, got)
+        for function, args, pinned in calls
+        if (got := function(*args)) != pinned
+    ]
+    assert moved == []
 
 
 # ------------------------------------------------------------- coincidences
@@ -355,12 +363,22 @@ def test_caches_stay_within_their_bound():
             analysis_circuit(registry, cfg)
             fourfold_herald(registry)
             twofold_herald(registry)
-    for cached in (
-        experiments._analysis_circuit,
-        experiments.fourfold_herald,
-        experiments.twofold_herald,
-    ):
-        assert cached.cache_info().currsize <= experiments._CACHE_SIZE
+    assert experiments._analysis_circuit.cache_info().currsize <= experiments._CACHE_SIZE
+
+
+def test_herald_specs_exist_only_for_the_analysis_registries():
+    for delayed in (False, True):
+        # an equal registry built apart names the same constant spec
+        registry = ModeRegistry(analysis_registry(delayed).labels)
+        assert fourfold_herald(registry) is fourfold_herald(analysis_registry(delayed))
+        assert twofold_herald(registry) is twofold_herald(analysis_registry(delayed))
+    ports = [(7, "H"), (7, "V"), (8, "H"), (8, "V")]
+    three_bins = ModeRegistry([mode(s, p, t) for t in range(3) for s, p in ports])
+    others = [three_bins, ModeRegistry([mode(s, p) for s in (1, 2) for p in "HV"]), None]
+    for registry in others:
+        for spec_of in (fourfold_herald, twofold_herald):
+            with pytest.raises(DomainError, match="not an analysis registry"):
+                spec_of(registry)
 
 
 def test_signed_zero_rotations_share_a_circuit_that_either_would_build():

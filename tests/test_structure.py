@@ -5,8 +5,9 @@ analysis circuit acts on each temporal bin alone and every detector sums
 over bins, the bin-0 and bin-1 ancilla terms never interfere: F is exactly
 linear in eta^2, and F(1) and F(0) both follow from the single-bin registry.
 The phase fringes are exact sin^2 curves, their fitted shift is exactly 0
-or pi, and the delay sweeps are even in the delay.  Every check holds to
-1e-12, the fitted shift to 1e-9.
+or pi, and the delay sweeps are even in the delay.  Every point and every
+delay cell follows the closed form derived in `closed_form`.  Every check
+holds to 1e-12, the fitted shift to 1e-9.
 """
 
 import math
@@ -29,8 +30,10 @@ from focksim import (
     fit_fringe,
     fourfold_from_mode3,
     fourfold_herald,
+    fourfold_probability,
     fringe_phase_shift,
     herald,
+    hom_probability,
     input_phi_theta,
     input_psi_plus,
     mode,
@@ -40,6 +43,7 @@ from focksim import (
     sweep_phase,
     tensor_product,
     transform,
+    twofold_probability,
 )
 from focksim.experiments import (
     ANALYZER_SPATIAL,
@@ -174,3 +178,70 @@ def test_phase_shift_is_pi_exactly_above_the_threshold_and_zero_below(
     shift = fringe_phase_shift(sweep_phase(thetas, eta, cfg))
     expected = math.pi if eta**2 > threshold else 0.0
     assert abs(shift - expected) <= 1e-9
+
+
+def closed_form(theta, eta, cfg):
+    """(twofold, fourfold, hom) of the tabletop in closed form.
+
+    With s = sin p and c = cos p for the plate's rotation p, the plate maps
+    H -> cH + sV and V -> sH - cV, so |2V> and |2H> on the analyzer reach
+    the A-B coincidence |1V;1H> with amplitudes -sqrt(2) sc and sqrt(2) sc.
+    The bunched pair is (|2V> + e^{i theta}|2H>)/sqrt(2) on the analyzer
+    port, and the splitter keeps a pair on that port with amplitude r_v
+    (V) or r_h (H): twofold = s^2 c^2 |r_v - e^{i theta} r_h|^2.
+
+    With the ancilla overlapping (eta = 1) the herald needs it back on the
+    herald port with the pair on the analyzer: the V pair passes the H
+    ancilla by (amplitude r_v sqrt(r_h)), the H pair meets it in the sign
+    shift (ns2 = sqrt(r_h) (r_h - 2 (1 - r_h))), so
+    F(1) = s^2 c^2 |r_v sqrt(r_h) - e^{i theta} ns2|^2.  A distinguishable
+    ancilla (eta = 0) either returns to the herald (r_h) while the pair
+    gives the twofold, or reaches the analyzer (1 - r_h) while one photon
+    of the H pair goes to the herald (r_h (1 - r_h)) and the two analyzer
+    photons, in different temporal bins, split over A and B (2 s^2 c^2):
+    F(0) = s^2 c^2 (r_h |r_v - e^{i theta} r_h|^2 + 2 r_h (1 - r_h)^2).  The
+    bins never interfere, so fourfold = eta^2 F(1) + (1 - eta^2) F(0).
+
+    The HOM input bunches to |1V;1H> and the plate stands at 0: the V
+    photon stays on A (r_v) and the H photon meets the ancilla, leaving one
+    on each side with amplitude 2 r_h - 1 when they overlap and probability
+    r_h^2 + (1 - r_h)^2 when they do not.  Background adds to both fourfolds.
+    """
+    p = math.radians(cfg.hwp_rotation)
+    sc2 = (math.sin(p) * math.cos(p)) ** 2
+    r_v, r_h, phase = cfg.r_v, cfg.r_h, complex(math.cos(theta), math.sin(theta))
+    ns2 = math.sqrt(r_h) * (r_h - 2.0 * (1.0 - r_h))
+    twofold = sc2 * abs(r_v - phase * r_h) ** 2
+    f1 = sc2 * abs(r_v * math.sqrt(r_h) - phase * ns2) ** 2
+    f0 = sc2 * (r_h * abs(r_v - phase * r_h) ** 2 + 2.0 * r_h * (1.0 - r_h) ** 2)
+    fourfold = eta**2 * f1 + (1.0 - eta**2) * f0 + cfg.background
+    overlapping, apart = (2.0 * r_h - 1.0) ** 2, r_h**2 + (1.0 - r_h) ** 2
+    hom = r_v * (eta**2 * overlapping + (1.0 - eta**2) * apart) + cfg.background
+    return twofold, fourfold, hom
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=configs, theta=phases, eta=unit)
+def test_every_point_follows_the_closed_form(cfg, theta, eta):
+    twofold, fourfold, hom = closed_form(theta, eta, cfg)
+    assert abs(twofold_probability(theta, cfg) - twofold) <= TOL
+    assert abs(fourfold_probability(theta, eta, cfg) - fourfold) <= TOL
+    assert abs(hom_probability(eta, cfg) - hom) <= TOL
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cfg=configs,
+    theta=phases,
+    eta_max=unit,
+    delays=st.lists(st.floats(-3e3, 3e3), min_size=1, max_size=6, unique=True).map(sorted),
+)
+def test_every_delay_cell_follows_the_closed_form(cfg, theta, eta_max, delays):
+    # the Gaussian overlap, written out here rather than read from the library
+    overlaps = [math.exp(-0.5 * (d / cfg.tau_coh_fs) ** 2) for d in delays]
+    cells = zip(overlaps, sweep_delay(theta, delays, cfg).column("fourfold"))
+    for eta, fourfold in cells:
+        assert abs(fourfold - closed_form(theta, eta, cfg)[1]) <= TOL
+    cells = zip(overlaps, sweep_hom_delay(delays, cfg, eta_max).column("fourfold"))
+    for eta, fourfold in cells:
+        assert abs(fourfold - closed_form(theta, eta_max * eta, cfg)[2]) <= TOL
